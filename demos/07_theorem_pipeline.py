@@ -21,7 +21,6 @@ from omljordan.matalg import (
     partition_of_unity,
 )
 from omljordan.pipeline import (
-    execute,
     run_pipeline,
     theorem_instance,
     verify_claims,
@@ -50,7 +49,7 @@ instance = theorem_instance(
     m3, m3, fragment_m, image_fragment(g, fragment_m), dict(f.mapping)
 )
 
-run = execute(instance)
+run = instance.run
 for step in run.steps:
     print("step:", step)
 

@@ -283,7 +283,7 @@ def cmd_pipeline(args) -> int:
     instance = pipeline.parse_instance_text(
         args.path.read_text(), args.path.parent
     )
-    run = pipeline.execute(instance)
+    run = instance.run
     candidates = run.jordan_maps
     ambiguous = len(candidates) != 1
     claims = uniqueness = None
@@ -373,7 +373,7 @@ def cmd_counterexample(args) -> int:
     instance = _counterexample_instance()
     path = pipeline.write_instance_files(args.out, "type_i2", instance)
     print(f"wrote {path}")
-    run = pipeline.execute(instance)
+    run = instance.run
     for step in run.steps:
         print(f"step: {step}")
     count = len(run.jordan_maps)

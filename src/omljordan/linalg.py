@@ -263,13 +263,6 @@ class Matrix:
             raise ShapeMismatch(f"{self.shape} vs {other.shape}")
 
 
-def matrix_power(m: Matrix, k: int) -> Matrix:
-    out = Matrix.identity(m.nrows)
-    for _ in range(k):
-        out = out @ m
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gaussian elimination.  Vectors are tuples of GaussScalar; a "row matrix" is
 # a list of such tuples.  rref pivots are chosen left to right, which keeps
@@ -326,37 +319,6 @@ def nullspace(rows: Sequence[Sequence[GaussScalar]]) -> list[Vector]:
             vec[pc] = -reduced[r][fc]
         basis.append(tuple(vec))
     return basis
-
-
-def in_span(vectors: Sequence[Vector], target: Vector) -> bool:
-    base = rank(list(vectors)) if vectors else 0
-    return rank(list(vectors) + [list(target)]) == base
-
-
-def solve_in_span(vectors: Sequence[Vector], target: Vector) -> list[GaussScalar] | None:
-    """Coefficients c with sum(c_i * vectors[i]) == target, or None."""
-    if not vectors:
-        return [] if all(x.is_zero() for x in target) else None
-    # Solve the transposed system by eliminating on [V^T | target].
-    n = len(target)
-    aug = [
-        [vectors[j][i] for j in range(len(vectors))] + [target[i]]
-        for i in range(n)
-    ]
-    reduced, pivots = rref(aug)
-    k = len(vectors)
-    if k in pivots:
-        return None  # inconsistent
-    coeffs = [ZERO] * k
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = reduced[r][k]
-    # pivots parametrization can leave free columns; verify exactly.
-    check = [
-        sum((coeffs[j] * vectors[j][i] for j in range(k)), ZERO) for i in range(n)
-    ]
-    if tuple(check) != tuple(target):
-        return None
-    return coeffs
 
 
 def same_span(a: Sequence[Vector], b: Sequence[Vector]) -> bool:

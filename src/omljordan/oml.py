@@ -12,8 +12,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
-
 from .poset import (
     InvalidIdentifier,
     ParseError,
@@ -303,15 +301,10 @@ def boolean_subalgebras(lattice: Oml) -> Poset:
 
 
 def blocks(lattice: Oml) -> list[BooleanSubalgebra]:
-    """Maximal Boolean subalgebras, via maximal cliques of the commutation graph."""
-    graph = nx.Graph()
-    graph.add_nodes_from(lattice.elements)
-    for x, y in itertools.combinations(lattice.elements, 2):
-        if commutes(lattice, x, y) and commutes(lattice, y, x):
-            graph.add_edge(x, y)
-    out = []
-    for clique in nx.find_cliques(graph):
-        out.append(verify_boolean_subalgebra(lattice, clique))
+    """Maximal Boolean subalgebras: the members of subalgebras(L) contained
+    in no other, sorted by label."""
+    subs = subalgebras(lattice)
+    out = [s for s in subs if not any(s.members < t.members for t in subs)]
     return sorted(out, key=lambda s: s.label())
 
 

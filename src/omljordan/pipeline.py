@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,6 +90,12 @@ class TheoremInstance:
     fragment_n: AbelianFragment
     f: OrderIso
 
+    @cached_property
+    def run(self) -> PipelineRun:
+        """The reconstruction chain on this instance, executed on first use;
+        run_pipeline and both verification reports read this one run."""
+        return execute(self)
+
 
 def theorem_instance(
     algebra_m: FinDimAlgebra,
@@ -160,7 +167,8 @@ def execute(instance: TheoremInstance) -> PipelineRun:
         )
 
     # Step g: restriction to the finite part (identity at finite dimension).
-    poset_m = fragment_poset(t.fragment_m)
+    # f's source is the fragment poset theorem_instance validated f against.
+    poset_m = t.f.source
     fp = finite_part(poset_m)
     g = t.f
     run.note(
@@ -268,7 +276,7 @@ def run_pipeline(instance: TheoremInstance) -> JordanMap:
     Raises AmbiguousReconstruction (with all candidate maps attached) when
     the reconstruction step is not unique.
     """
-    run = execute(instance)
+    run = instance.run
     if len(run.jordan_maps) != 1:
         raise AmbiguousReconstruction(
             f"{len(run.jordan_maps)} candidate Jordan maps; the hypothesis "
@@ -320,11 +328,11 @@ def verify_claims(instance: TheoremInstance, F: JordanMap) -> Report:
 
 
 def verify_uniqueness(instance: TheoremInstance, F: JordanMap) -> Report:
-    """(a) the reconstruction step has exactly one solution; (b) the
-    fragment projections span F's domain, so any map agreeing with F on
-    them agrees on the whole span."""
+    """(a) the reconstruction step of the instance's single run has
+    exactly one solution; (b) the fragment projections span F's domain, so
+    any map agreeing with F on them agrees on the whole span."""
     entries: list[ReportEntry] = []
-    run = execute(instance)
+    run = instance.run
     count = len(run.reconstruction_candidates)
     if count == 1:
         entries.append(ReportEntry("unique-reconstruction", "PASS"))

@@ -195,7 +195,7 @@ def finite_part(p: Poset) -> tuple[str, ...]:
     operation exists so the theorem pipeline can perform (and log) the
     restriction step explicitly.
     """
-    return tuple(x for x in p.elements if len(p.downset(x)) < float("inf"))
+    return p.elements
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,6 @@ solution) is treated as a testable property, not as an algorithm.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -315,19 +314,3 @@ def serialize_bsub_iso(iso: BsubIso) -> str:
     for label in left_labels:
         lines.append(f"map {left_ids[label]} {right_ids[iso.j.apply(label)]}")
     return "\n".join(lines) + "\n"
-
-
-def brute_force_isos_small(left: Oml, right: Oml) -> list[OmlIso]:
-    """Literal brute force: filter all |L|! bijections.  Only for tiny OMLs."""
-    if len(left) > 10:
-        raise ValueError("literal bijection filtering is capped at 10 elements")
-    if len(left) != len(right):
-        return []
-    out = []
-    for perm in itertools.permutations(right.elements):
-        mapping = dict(zip(left.elements, perm))
-        try:
-            out.append(verify_oml_iso(left, right, mapping))
-        except NotOrderIso:
-            continue
-    return out

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 Nothing here shares search code with the package: Bell numbers come from
-the triangle recurrence, set partitions from restricted growth strings, and
-isomorphism enumeration from raw bijection filtering with local checks.
+the triangle recurrence, set partitions from restricted growth strings,
+isomorphism enumeration from raw bijection filtering with local checks, and
+blocks from maximal cliques of the commutation relation.
 """
 
 import itertools
@@ -109,3 +110,37 @@ def filter_by_bsub_constraint(left, right, isos, apply_members):
         ):
             kept.append(mapping)
     return kept
+
+
+def maximal_commuting_sets(lattice):
+    """The blocks of an OML: maximal sets of pairwise-commuting elements.
+
+    Commutation is a = (a ^ b) v (a ^ b'), read from meet, join and
+    complement alone; the maximal sets are the maximal cliques of that
+    relation, found by plain Bron-Kerbosch.
+    """
+
+    def commute(a, b):
+        return (
+            lattice.join(lattice.meet(a, b), lattice.meet(a, lattice.complement(b)))
+            == a
+        )
+
+    elements = list(lattice.elements)
+    neighbours = {
+        a: {b for b in elements if b != a and commute(a, b) and commute(b, a)}
+        for a in elements
+    }
+    out = []
+
+    def expand(clique, candidates, excluded):
+        if not candidates and not excluded:
+            out.append(frozenset(clique))
+            return
+        for v in sorted(candidates):
+            expand(clique | {v}, candidates & neighbours[v], excluded & neighbours[v])
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    expand(set(), set(elements), set())
+    return out

@@ -16,10 +16,7 @@ from omljordan.jordan import (
     induced_subalgebra_map,
     jordan_map,
     map_from_callable,
-    parse_proj_map,
     proj_map_fragment,
-    proj_map_lines_for_fragment,
-    serialize_proj_map,
     spectral_extend,
     transpose_map,
     verify_jordan,
@@ -289,16 +286,6 @@ def test_proj_map_validation(m2):
     rc = as_projection(m2.identity() - r)
     with pytest.raises(InvalidProjMap):
         proj_map_fragment(m2, m2, [(zero, zero), (one, one), (p, r), (q, q)])
-
-
-def test_proj_map_exchange_round_trip(m3):
-    u = rotation_unitary(m3)
-    g = ad_unitary(m3, u)
-    frag = coarsening_closure(m3, {"diag": diagonal_partition(m3)})
-    images = proj_map_lines_for_fragment(g, frag)
-    text = serialize_proj_map(frag, images)
-    parsed = parse_proj_map(m3, text)
-    assert parsed == images
 
 
 def test_jordan_map_rejects_wrong_parents(m2, m3):

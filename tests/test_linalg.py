@@ -10,14 +10,12 @@ from omljordan.linalg import (
     NonRationalSpectrum,
     char_poly,
     format_scalar,
-    in_span,
     nullspace,
     parse_scalar,
     rank,
     rational_root_split,
     rref,
     same_span,
-    solve_in_span,
 )
 
 fractions = st.builds(
@@ -117,18 +115,6 @@ def test_nullspace_kills_rows():
                 acc = acc + r * v
             assert acc.is_zero()
     assert len(nullspace(rows)) == 3 - rank(rows)
-
-
-def test_solve_in_span_exact():
-    v1 = (GaussScalar.of(1), GaussScalar.of(0), GaussScalar.of(1))
-    v2 = (GaussScalar.of(0), GaussScalar.of(1), GaussScalar.of(1))
-    target = (GaussScalar.of(2), GaussScalar.of(3), GaussScalar.of(5))
-    coeffs = solve_in_span([v1, v2], target)
-    assert coeffs == [GaussScalar.of(2), GaussScalar.of(3)]
-    outside = (GaussScalar.of(1), GaussScalar.of(0), GaussScalar.of(0))
-    assert solve_in_span([v1, v2], outside) is None
-    assert in_span([v1, v2], target)
-    assert not in_span([v1, v2], outside)
 
 
 def test_same_span():

@@ -279,3 +279,37 @@ def test_instance_file_round_trip(tmp_path, m3):
     assert dict(parsed.f.mapping) == dict(instance.f.mapping)
     F = run_pipeline(parsed)
     assert _maps_agree_on_fragment(F, g, frag)
+
+
+def test_chain_runs_once_per_instance(tmp_path, m3, monkeypatch):
+    """run_pipeline and both reports share one execute, which reuses the
+    fragment poset f was validated on; the CLI verb runs the chain once."""
+    from omljordan import cli, jordan, matalg, pipeline
+
+    calls = {"execute": 0, "fragment_poset": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "execute", counted("execute", pipeline.execute))
+    poset_wrapper = counted("fragment_poset", matalg.fragment_poset)
+    for module in (matalg, jordan, pipeline):
+        monkeypatch.setattr(module, "fragment_poset", poset_wrapper)
+
+    g = ad_unitary(m3, rotation_unitary(m3))
+    instance, _ = _round_trip_instance(m3, g)
+    assert calls["fragment_poset"] > 0
+    calls["fragment_poset"] = 0
+    F = run_pipeline(instance)
+    assert verify_claims(instance, F).passed
+    assert verify_uniqueness(instance, F).passed
+    assert calls == {"execute": 1, "fragment_poset": 0}
+
+    path = write_instance_files(tmp_path, "rot", instance)
+    calls["execute"] = 0
+    assert cli.main(["pipeline", str(path)]) == 0
+    assert calls["execute"] == 1
