@@ -133,8 +133,10 @@ class JordanMap:
 
     def _coordinates(self, x: AlgElement) -> list[GaussScalar] | None:
         vec = x.vec()
+        # matrix units and projections are sparse: sum over nonzero entries only
+        support = [(i, v) for i, v in enumerate(vec) if not v.is_zero()]
         coeffs = [
-            sum((r * v for r, v in zip(row, vec)), GaussScalar.of(0))
+            sum((row[i] * v for i, v in support), GaussScalar.of(0))
             for row in self._coords
         ]
         # exact membership check: the candidate must reconstruct x
@@ -142,7 +144,8 @@ class JordanMap:
         for c, (gen, _) in zip(coeffs, self._basis):
             if not c.is_zero():
                 for i, v in enumerate(gen.vec()):
-                    rebuilt[i] = rebuilt[i] + c * v
+                    if not v.is_zero():
+                        rebuilt[i] = rebuilt[i] + c * v
         if tuple(rebuilt) != vec:
             return None
         return coeffs

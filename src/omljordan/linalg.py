@@ -100,7 +100,8 @@ class GaussScalar:
         return f"GaussScalar({self.re!r}, {self.im!r})"
 
 
-ZERO = GaussScalar(Fraction(0), Fraction(0))
+_F0 = Fraction(0)
+ZERO = GaussScalar(_F0, _F0)
 ONE = GaussScalar(Fraction(1), Fraction(0))
 I = GaussScalar(Fraction(0), Fraction(1))
 HALF = GaussScalar(Fraction(1, 2), Fraction(0))
@@ -214,15 +215,27 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
-        cols = list(zip(*other.entries))
-        return Matrix(
-            tuple(
-                tuple(
-                    sum((a * b for a, b in zip(row, col)), ZERO) for col in cols
-                )
-                for row in self.entries
-            )
-        )
+        # Accumulate real and imaginary parts as Fractions and skip zero
+        # factors: operands here are mostly matrix units and projections,
+        # whose entries are largely zero, and many are real.
+        width = other.ncols
+        rows = []
+        for row in self.entries:
+            acc_re = [_F0] * width
+            acc_im = [_F0] * width
+            for a, other_row in zip(row, other.entries):
+                ar, ai = a.re, a.im
+                if not ar and not ai:
+                    continue
+                for j, b in enumerate(other_row):
+                    br, bi = b.re, b.im
+                    if ai or bi:
+                        acc_re[j] += ar * br - ai * bi
+                        acc_im[j] += ar * bi + ai * br
+                    elif br:
+                        acc_re[j] += ar * br
+            rows.append(tuple(map(GaussScalar, acc_re, acc_im)))
+        return Matrix(tuple(rows))
 
     def scale(self, factor: ScalarLike) -> "Matrix":
         f = GaussScalar.of(factor)
