@@ -83,28 +83,26 @@ def proj_map_fragment(
     """Validate ortho-preservation, order-preservation (both ways) and
     injectivity of a projection-pair list."""
     pair_list = []
-    seen_dom = set()
+    by_key: dict[tuple, Projection] = {}
     seen_img = set()
     for dom, img in pairs:
         if dom.algebra != source or img.algebra != target:
             raise InvalidProjMap("pair from the wrong algebra")
-        if dom.sort_key() in seen_dom:
+        dom_key, img_key = dom.sort_key(), img.sort_key()
+        if dom_key in by_key:
             raise InvalidProjMap("domain projection listed twice")
-        if img.sort_key() in seen_img:
+        if img_key in seen_img:
             raise InvalidProjMap("map is not injective")
-        seen_dom.add(dom.sort_key())
-        seen_img.add(img.sort_key())
+        by_key[dom_key] = img
+        seen_img.add(img_key)
         pair_list.append((dom, img))
-    by_key = {dom.sort_key(): img for dom, img in pair_list}
     src_ident = source.identity()
+    dst_ident = target.identity()
     for dom, img in pair_list:
-        comp = next(
-            (d for d, _ in pair_list if d.sort_key() == (src_ident - dom).sort_key()),
-            None,
-        )
-        if comp is None:
+        comp_img = by_key.get((src_ident - dom).sort_key())
+        if comp_img is None:
             raise InvalidProjMap("domain is not closed under complements")
-        if by_key[comp.sort_key()] != target.identity() - img:
+        if comp_img != dst_ident - img:
             raise InvalidProjMap(
                 "ortho not preserved: psi(1-p) != 1-psi(p) at some p"
             )

@@ -193,9 +193,14 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._expect_same_shape(other)
+        # Operands are mostly sparse (matrix units, projections): a sum with
+        # a zero term is the other term.
         return Matrix(
             tuple(
-                tuple(a + b for a, b in zip(ra, rb))
+                tuple(
+                    a if not (b.re or b.im) else b if not (a.re or a.im) else a + b
+                    for a, b in zip(ra, rb)
+                )
                 for ra, rb in zip(self.entries, other.entries)
             )
         )
@@ -239,7 +244,12 @@ class Matrix:
 
     def scale(self, factor: ScalarLike) -> "Matrix":
         f = GaussScalar.of(factor)
-        return Matrix(tuple(tuple(f * x for x in row) for row in self.entries))
+        return Matrix(
+            tuple(
+                tuple(f * x if x.re or x.im else ZERO for x in row)
+                for row in self.entries
+            )
+        )
 
     @property
     def shape(self) -> tuple[int, int]:

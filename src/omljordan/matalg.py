@@ -238,9 +238,33 @@ def as_projection(e: AlgElement) -> Projection:
     return Projection(e.algebra, e.blocks)
 
 
+def _trusted_projection(e: AlgElement) -> Projection:
+    """A Projection built without the p = p* = p^2 check, for sums of
+    orthogonal atoms, which are projections by construction."""
+    p = object.__new__(Projection)
+    object.__setattr__(p, "algebra", e.algebra)
+    object.__setattr__(p, "blocks", e.blocks)
+    return p
+
+
 def proj_leq(p: Projection, q: Projection) -> bool:
-    """Projection order: p <= q iff qp = p (equivalently pq = p)."""
-    return q * p == AlgElement(p.algebra, p.blocks)
+    """Projection order: p <= q iff qp = p iff tr(pq) = tr(p).
+
+    The trace test is exact: tr(p) - tr(pq) = ||(1-q)p||^2 (Hilbert-Schmidt),
+    which vanishes iff (1-q)p = 0.  For projections tr(pq) is real, so only
+    real parts are summed, over the nonzero entries of p.
+    """
+    p._same_parent(q)
+    diff = 0
+    for pb, qb in zip(p.blocks, q.blocks):
+        q_rows = qb.entries
+        for i, row in enumerate(pb.entries):
+            diff += row[i].re
+            for j, x in enumerate(row):
+                if x.re or x.im:
+                    y = q_rows[j][i]
+                    diff -= x.re * y.re - x.im * y.im
+    return diff == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,17 +315,27 @@ def trivial_partition(algebra: FinDimAlgebra) -> PartitionOfUnity:
     return partition_of_unity(algebra, [algebra.identity()])
 
 
+def _subset_sums(partition: PartitionOfUnity) -> list[AlgElement]:
+    """The 2^k sums of subsets of the partition's atoms, indexed by bitmask
+    (bit i stands for atom i); one addition each."""
+    sums = [partition.algebra.zero()]
+    for atom in partition.atoms:
+        sums += [s + atom for s in sums]
+    return sums
+
+
+def _projection_keys(partition: PartitionOfUnity) -> frozenset:
+    """Sort keys of the partition's Boolean algebra of projections."""
+    return frozenset(s.sort_key() for s in _subset_sums(partition))
+
+
 def coarsens(p: PartitionOfUnity, q: PartitionOfUnity) -> bool:
     """True iff every atom of p is an exact sum of atoms of q (so p's algebra
-    is included in q's)."""
-    for atom in p.atoms:
-        under = [b for b in q.atoms if proj_leq(b, atom)]
-        total = p.algebra.zero()
-        for b in under:
-            total = total + b
-        if total != AlgElement(atom.algebra, atom.blocks):
-            return False
-    return True
+    is included in q's): every atom key of p is a subset-sum key of q."""
+    if p.algebra != q.algebra:
+        raise ParentMismatch("partitions of different algebras")
+    keys = _projection_keys(q)
+    return all(atom.sort_key() in keys for atom in p.atoms)
 
 
 def merge_atoms(
@@ -518,13 +552,7 @@ def psi_project(
         partition = source
     else:
         partition = atoms_of_abelian_basis(source)
-    out = []
-    for bits in itertools.product((False, True), repeat=len(partition.atoms)):
-        total = partition.algebra.zero()
-        for p, b in zip(partition.atoms, bits):
-            if b:
-                total = total + p
-        out.append(as_projection(total))
+    out = [_trusted_projection(s) for s in _subset_sums(partition)]
     out.sort(key=lambda p: p.sort_key())
     return out
 
@@ -581,6 +609,17 @@ class AbelianFragment:
         return [seen[k] for k in sorted(seen)]
 
 
+def _merges(p: PartitionOfUnity):
+    """Every merge of p's atoms, in set_partitions order, as its partition
+    key and its cells' atom sums.  The sums are looked up by bitmask, so no
+    merge is re-validated: merged cells of a partition of unity form one."""
+    sums = _subset_sums(p)
+    keys = [s.sort_key() for s in sums]
+    for cells in set_partitions(range(len(p.atoms))):
+        masks = [sum(1 << i for i in cell) for cell in cells]
+        yield tuple(sorted(keys[m] for m in masks)), [sums[m] for m in masks]
+
+
 def fragment(
     algebra: FinDimAlgebra,
     named: Mapping[str, PartitionOfUnity],
@@ -597,9 +636,8 @@ def fragment(
         raise InvalidFragment("two names denote the same partition")
     if require_coarsening_closed:
         for name, p in parts.items():
-            for cells in set_partitions(range(len(p.atoms))):
-                merged = merge_atoms(p, cells)
-                if merged.key() not in keys:
+            for merged, _ in _merges(p):
+                if merged not in keys:
                     raise InvalidFragment(
                         f"fragment is not coarsening-closed: a merge of "
                         f"{name!r} is missing"
@@ -620,10 +658,11 @@ def coarsening_closure(
         names[p.key()] = name
     generated: dict[tuple, PartitionOfUnity] = {}
     for p in list(parts.values()):
-        for cells in set_partitions(range(len(p.atoms))):
-            merged = merge_atoms(p, cells)
-            if merged.key() not in parts:
-                generated.setdefault(merged.key(), merged)
+        for key, cell_sums in _merges(p):
+            if key not in parts and key not in generated:
+                generated[key] = PartitionOfUnity(
+                    p.algebra, tuple(_trusted_projection(c) for c in cell_sums)
+                )
     triv = trivial_partition(algebra)
     if triv.key() not in parts and triv.key() not in generated:
         generated[triv.key()] = triv
@@ -636,13 +675,12 @@ def coarsening_closure(
 
 
 def fragment_poset(frag: AbelianFragment) -> Poset:
-    """Inclusion order on the fragment: P <= Q iff P coarsens Q."""
+    """Inclusion order on the fragment: P <= Q iff P coarsens Q, that is iff
+    Proj(P) is a subset of Proj(Q)."""
     names = frag.names()
+    projs = {name: _projection_keys(frag.partitions[name]) for name in names}
     pairs = [
-        (a, b)
-        for a in names
-        for b in names
-        if a != b and coarsens(frag.partitions[a], frag.partitions[b])
+        (a, b) for a in names for b in names if a != b and projs[a] <= projs[b]
     ]
     return verify_poset(names, pairs)
 
@@ -793,7 +831,7 @@ def projection_oml(
             labels[p.sort_key()] = f"q{counter}"
             counter += 1
     for p in ordered:
-        comp_key = as_projection(ident - p).sort_key()
+        comp_key = (ident - p).sort_key()
         if comp_key not in labels:
             raise InvalidFragment(
                 f"projection set is not complement-closed at {labels[p.sort_key()]}"
@@ -806,10 +844,7 @@ def projection_oml(
         if p.sort_key() != q.sort_key() and proj_leq(p, q)
     ]
     order = verify_poset(elements, pairs)
-    ortho = {
-        labels[p.sort_key()]: labels[as_projection(ident - p).sort_key()]
-        for p in ordered
-    }
+    ortho = {labels[p.sort_key()]: labels[(ident - p).sort_key()] for p in ordered}
     lattice = omlmod.verify_oml(order, ortho)
     by_label = {labels[p.sort_key()]: p for p in ordered}
     return lattice, by_label

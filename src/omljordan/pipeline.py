@@ -292,12 +292,20 @@ def verify_claims(instance: TheoremInstance, F: JordanMap) -> Report:
     subalgebras have equal spans."""
     t = instance
     entries: list[ReportEntry] = []
+    # Members share projections: F is applied once per distinct projection.
+    images: dict[tuple, AlgElement] = {}
+
+    def image(p: Projection) -> AlgElement:
+        key = p.sort_key()
+        if key not in images:
+            images[key] = F.apply(AlgElement(p.algebra, p.blocks))
+        return images[key]
+
     for name in t.fragment_m.names():
         part = t.fragment_m.partitions[name]
         image_part = t.fragment_n.partitions[t.f.apply(name)]
         f_projs = {p.sort_key() for p in psi_project(image_part)}
-        mapped = [F.apply(AlgElement(p.algebra, p.blocks)) for p in psi_project(part)]
-        mapped_keys = {m.sort_key() for m in mapped}
+        mapped_keys = {image(p).sort_key() for p in psi_project(part)}
         if mapped_keys == f_projs:
             entries.append(ReportEntry(f"claim1[{name}]", "PASS"))
         else:
@@ -308,9 +316,7 @@ def verify_claims(instance: TheoremInstance, F: JordanMap) -> Report:
                     "projection sets of f(S) and F[S] differ",
                 )
             )
-        atom_images = [
-            F.apply(AlgElement(p.algebra, p.blocks)) for p in part.atoms
-        ]
+        atom_images = [image(p) for p in part.atoms]
         try:
             partition_of_unity(t.algebra_n, atom_images)
             entries.append(ReportEntry(f"claim2[{name}]", "PASS"))

@@ -2,8 +2,10 @@
 
 Nothing here shares search code with the package: Bell numbers come from
 the triangle recurrence, set partitions from restricted growth strings,
-isomorphism enumeration from raw bijection filtering with local checks, and
-blocks from maximal cliques of the commutation relation.
+isomorphism enumeration from raw bijection filtering with local checks,
+blocks from maximal cliques of the commutation relation, and the projection
+order and coarsening from exact matrix products (the package decides them
+by traces and subset-sum keys).
 """
 
 import itertools
@@ -144,3 +146,26 @@ def maximal_commuting_sets(lattice):
 
     expand(set(), set(elements), set())
     return out
+
+
+def is_projection_by_products(e):
+    """p = p* = p^2, by one exact matrix product."""
+    return e == e.star() and e == e * e
+
+
+def leq_by_products(p, q):
+    """Projection order p <= q as qp = p, by one exact matrix product."""
+    return q * p == p
+
+
+def coarsens_by_products(p, q):
+    """Partition p coarsens q: the atoms of q under each atom of p sum back
+    to that atom."""
+    for atom in p.atoms:
+        total = p.algebra.zero()
+        for b in q.atoms:
+            if leq_by_products(b, atom):
+                total = total + b
+        if total != atom:
+            return False
+    return True

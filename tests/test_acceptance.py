@@ -269,6 +269,27 @@ def test_criterion_6_theorem_round_trip():
     _report(6, overall_ok, slowest, 60.0, "; ".join(details))
 
 
+def test_criterion_6_larger_dims():
+    """Criterion 6's round trip on dims (4,1), for ad-rot and transpose,
+    under the same per-instance budget."""
+    algebra = FinDimAlgebra((4, 1))
+    cases = {
+        "ad-rot": ad_unitary(algebra, rotation_unitary(algebra)),
+        "transpose": transpose_map(algebra),
+    }
+    overall_ok = True
+    details = []
+    slowest = 0.0
+    for label, g in cases.items():
+        start = time.perf_counter()
+        ok = _round_trip_case(algebra, g)
+        elapsed = time.perf_counter() - start
+        slowest = max(slowest, elapsed)
+        overall_ok = overall_ok and ok and elapsed < 60.0
+        details.append(f"{label}@(4, 1)={'ok' if ok else 'FAIL'}:{elapsed:.1f}s")
+    _report("6 (larger dims)", overall_ok, slowest, 60.0, "; ".join(details))
+
+
 def test_criterion_7_decomposition():
     """Central projections of identity + transpose and of transpose."""
     start = time.perf_counter()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from omljordan.combinat import set_partitions
-from omljordan.linalg import NonRationalSpectrum
+from omljordan.linalg import I, NonRationalSpectrum
 from omljordan.matalg import (
     AlgElement,
     ArityMismatch,
@@ -30,6 +30,7 @@ from omljordan.matalg import (
     parse_algebra_text,
     parse_element,
     partition_of_unity,
+    proj_leq,
     projection_oml,
     psi_project,
     serialize_algebra,
@@ -40,7 +41,18 @@ from omljordan.matalg import (
 from omljordan.oml import blocks
 from omljordan.poset import verify_poset
 
-from .conftest import diagonal_partition, random_element, rng, rotation_unitary
+from .conftest import (
+    diag_plus_rotated_fragment,
+    diagonal_partition,
+    random_element,
+    rng,
+    rotation_unitary,
+)
+from .oracles import (
+    coarsens_by_products,
+    is_projection_by_products,
+    leq_by_products,
+)
 
 
 def test_jordan_product_unit(m3):
@@ -305,6 +317,69 @@ def test_coarsens(m3):
     coarse = merge_atoms(diag, [[0, 1], [2]])
     assert coarsens(coarse, diag)
     assert not coarsens(diag, coarse)
+
+
+def test_proj_leq_matches_product_oracle(m31):
+    projs = diag_plus_rotated_fragment(m31).projections()
+    assert len(projs) == 24
+    # The same fragment turned by a phase, so that entries are complex.
+    phase = m31.from_rows([[1, 0, 0], [0, I, 0], [0, 0, 1]], [[1]])
+    v = phase * rotation_unitary(m31)
+    turned = coarsening_closure(
+        m31,
+        {
+            "diag": diagonal_partition(m31),
+            "rot": partition_of_unity(
+                m31, [as_projection(v * p * v.star()) for p in m31.diagonal_atoms()]
+            ),
+        },
+    ).projections()
+    assert any(not x.is_real() for p in turned for x in p.vec())
+    for family in (projs, turned):
+        for p in family:
+            for q in family:
+                assert proj_leq(p, q) == leq_by_products(p, q)
+
+
+@pytest.mark.parametrize("dims", [(3, 1), (2, 2)], ids=["(3,1)", "(2,2)"])
+def test_fragment_layer_matches_product_oracle(dims):
+    """coarsens and fragment_poset agree with coarsening by matrix products,
+    and every psi_project output is a projection by matrix products."""
+    algebra = FinDimAlgebra(dims)
+    frag = diag_plus_rotated_fragment(algebra)
+    relation = set()
+    for a in frag.names():
+        part = frag.partitions[a]
+        projs = psi_project(part)
+        assert len(projs) == 2 ** len(part.atoms)
+        assert all(is_projection_by_products(p) for p in projs)
+        for b in frag.names():
+            expected = coarsens_by_products(part, frag.partitions[b])
+            assert coarsens(part, frag.partitions[b]) == expected
+            if expected:
+                relation.add((a, b))
+    assert fragment_poset(frag).relation == relation
+
+
+def test_order_tests_reject_other_algebras(m3, m31):
+    with pytest.raises(ParentMismatch):
+        proj_leq(as_projection(m3.identity()), as_projection(m31.identity()))
+    with pytest.raises(ParentMismatch):
+        coarsens(trivial_partition(m3), diagonal_partition(m31))
+
+
+def test_fragment_closure_check_names_each_missing_merge(m31):
+    closed = diag_plus_rotated_fragment(m31)
+    generated = [name for name in closed.names() if name.startswith("m")]
+    assert generated
+    for missing in generated:
+        parts = {k: p for k, p in closed.partitions.items() if k != missing}
+        with pytest.raises(
+            InvalidFragment,
+            match=r"^fragment is not coarsening-closed: a merge of "
+            r"'(diag|rot)' is missing$",
+        ):
+            fragment(m31, parts, require_coarsening_closed=True)
 
 
 def test_is_type_i2_free():
