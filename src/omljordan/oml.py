@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .poset import (
@@ -58,7 +59,8 @@ class Oml:
 
     order is a validated lattice with bottom and top; ortho is an
     order-reversing involution satisfying complementation and the
-    orthomodular law.  Use verify_oml to construct one.
+    orthomodular law.  Use verify_oml to construct one.  Its Boolean
+    subalgebras and their poset BSub(L) are built once, on first use.
     """
 
     order: Poset
@@ -105,6 +107,36 @@ class Oml:
 
     def __contains__(self, x: str) -> bool:
         return x in self.ortho
+
+    @cached_property
+    def _subalgebras(self) -> dict[str, BooleanSubalgebra]:
+        """See subalgebras(); keyed by label, in (size, label) order."""
+        nonzero = [x for x in self.elements if x != self.bottom]
+        found: dict[frozenset[str], BooleanSubalgebra] = {}
+
+        def extend(parts: list[str], joined: str, start: int) -> None:
+            if joined == self.top:
+                sub = _subalgebra_from_partition(self, parts)
+                found.setdefault(sub.members, sub)
+                return
+            for i in range(start, len(nonzero)):
+                x = nonzero[i]
+                if all(self.orthogonal(x, p) for p in parts):
+                    extend(parts + [x], self.join(joined, x), i + 1)
+
+        extend([], self.bottom, 0)
+        subs = sorted(found.values(), key=lambda s: (len(s.members), s.label()))
+        return {s.label(): s for s in subs}
+
+    @cached_property
+    def _bsub(self) -> Poset:
+        """See boolean_subalgebras()."""
+        # Inclusion of distinct member sets is already a partial order.
+        subs = [(x, s.members) for x, s in self._subalgebras.items()]
+        return Poset(
+            tuple(sorted(self._subalgebras)),
+            frozenset((x, y) for x, xm in subs for y, ym in subs if xm <= ym),
+        )
 
 
 def verify_oml(order: Poset, ortho: Mapping[str, str]) -> Oml:
@@ -268,44 +300,21 @@ def subalgebras(lattice: Oml) -> list[BooleanSubalgebra]:
 
     Each subalgebra is determined by its atom set, which is a family of
     nonzero pairwise-orthogonal elements joining to top; results are deduped
-    by member set and sorted by (size, label).
+    by member set and sorted by (size, label).  The lattice enumerates them
+    once; each call returns a new list.
     """
-    nonzero = [x for x in lattice.elements if x != lattice.bottom]
-    found: dict[frozenset[str], BooleanSubalgebra] = {}
-
-    def extend(parts: list[str], joined: str, start: int) -> None:
-        if joined == lattice.top:
-            sub = _subalgebra_from_partition(lattice, parts)
-            found.setdefault(sub.members, sub)
-            return
-        for i in range(start, len(nonzero)):
-            x = nonzero[i]
-            if all(lattice.orthogonal(x, p) for p in parts):
-                extend(parts + [x], lattice.join(joined, x), i + 1)
-
-    extend([], lattice.bottom, 0)
-    return sorted(found.values(), key=lambda s: (len(s.members), s.label()))
+    return list(lattice._subalgebras.values())
 
 
 def boolean_subalgebras(lattice: Oml) -> Poset:
     """The inclusion poset BSub(L), labeled by canonical member-set strings."""
-    subs = subalgebras(lattice)
-    labels = [s.label() for s in subs]
-    pairs = [
-        (labels[i], labels[j])
-        for i in range(len(subs))
-        for j in range(len(subs))
-        if i != j and subs[i].members <= subs[j].members
-    ]
-    return verify_poset(sorted(labels), pairs)
+    return lattice._bsub
 
 
 def blocks(lattice: Oml) -> list[BooleanSubalgebra]:
-    """Maximal Boolean subalgebras: the members of subalgebras(L) contained
-    in no other, sorted by label."""
-    subs = subalgebras(lattice)
-    out = [s for s in subs if not any(s.members < t.members for t in subs)]
-    return sorted(out, key=lambda s: s.label())
+    """Maximal Boolean subalgebras: the maximal elements of BSub(L), sorted
+    by label."""
+    return [lattice._subalgebras[x] for x in lattice._bsub.maximal_elements()]
 
 
 # ---------------------------------------------------------------------------

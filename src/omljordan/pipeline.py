@@ -22,10 +22,10 @@ from pathlib import Path
 from . import reconstruct as rec
 from .jordan import (
     JordanMap,
+    ProjMapFragment,
     Report,
     ReportEntry,
     jordan_map,
-    proj_map_fragment,
     spectral_extend,
 )
 from .linalg import rank
@@ -256,11 +256,12 @@ def execute(instance: TheoremInstance) -> PipelineRun:
                     )
                 )
             )
+    # A verified OmlIso of projection OMLs is already a valid ProjMapFragment.
     for k in candidates:
-        pairs = [
+        pairs = tuple(
             (by_label_m[x], by_label_n[k.apply(x)]) for x in lattice_m.elements
-        ]
-        psi = proj_map_fragment(t.algebra_m, t.algebra_n, pairs)
+        )
+        psi = ProjMapFragment(t.algebra_m, t.algebra_n, pairs)
         run.jordan_maps.append(spectral_extend(psi, inputs))
     span_dim = run.jordan_maps[0].span_dimension() if run.jordan_maps else 0
     run.note(

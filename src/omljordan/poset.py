@@ -6,7 +6,8 @@ relation stored in a Poset is always the full reflexive-transitive closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 
@@ -35,7 +36,8 @@ class NotSubposet(Exception):
 
 
 class NotAnIdeal(Exception):
-    """A member set violates the ideal invariant (downset + join closure)."""
+    """A member set is not a downset, or two of its members have no join
+    or a join outside the set."""
 
 
 class NotGenerated(Exception):
@@ -50,86 +52,77 @@ class ParseError(Exception):
     """A text-format file does not parse."""
 
 
+_EMPTY: frozenset[str] = frozenset()
+
+
 @dataclass(frozen=True)
 class Poset:
-    """A finite partial order: element tuple plus the full <= relation."""
+    """A finite partial order: element tuple plus the full <= relation.
+
+    Construction also builds each element's up-set and down-set from the
+    relation; every order query reads those sets.
+    """
 
     elements: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
+    _up: Mapping[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    _down: Mapping[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_cache", {})
+        up: dict[str, set[str]] = {x: set() for x in self.elements}
+        down: dict[str, set[str]] = {x: set() for x in self.elements}
+        for x, y in self.relation:
+            up[x].add(y)
+            down[y].add(x)
+        object.__setattr__(self, "_up", {x: frozenset(s) for x, s in up.items()})
+        object.__setattr__(self, "_down", {x: frozenset(s) for x, s in down.items()})
 
     def leq(self, x: str, y: str) -> bool:
-        return (x, y) in self.relation
+        return y in self._up.get(x, _EMPTY)
 
     def lt(self, x: str, y: str) -> bool:
-        return x != y and (x, y) in self.relation
+        return x != y and self.leq(x, y)
 
     def downset(self, x: str) -> tuple[str, ...]:
-        key = ("down", x)
-        if key not in self._cache:
-            self._cache[key] = tuple(
-                z for z in self.elements if self.leq(z, x)
-            )
-        return self._cache[key]
+        below = self._down.get(x, _EMPTY)
+        return tuple(z for z in self.elements if z in below)
 
     def upset(self, x: str) -> tuple[str, ...]:
-        key = ("up", x)
-        if key not in self._cache:
-            self._cache[key] = tuple(
-                z for z in self.elements if self.leq(x, z)
-            )
-        return self._cache[key]
+        above = self._up.get(x, _EMPTY)
+        return tuple(z for z in self.elements if z in above)
 
     def covers(self, x: str, y: str) -> bool:
         """True iff y covers x (x < y with nothing strictly between)."""
-        if not self.lt(x, y):
-            return False
-        return not any(self.lt(x, z) and self.lt(z, y) for z in self.elements)
+        return self.lt(x, y) and len(self._up[x] & self._down[y]) == 2
 
     def cover_pairs(self) -> list[tuple[str, str]]:
         return sorted(
-            (x, y) for x in self.elements for y in self.elements if self.covers(x, y)
+            (x, y) for x in self.elements for y in self._up[x] if self.covers(x, y)
         )
 
     def join(self, x: str, y: str) -> str | None:
         return self.join_of((x, y))
 
     def meet(self, x: str, y: str) -> str | None:
-        key = ("meet", x, y)
-        if key not in self._cache:
-            lowers = [
-                z for z in self.elements if self.leq(z, x) and self.leq(z, y)
-            ]
-            greatest = [z for z in lowers if all(self.leq(w, z) for w in lowers)]
-            self._cache[key] = greatest[0] if greatest else None
-        return self._cache[key]
+        """Greatest lower bound: the z whose down-set is the intersection of
+        the down-sets of x and y."""
+        return _extremum(self._down, (x, y), self.elements)
 
     def join_of(self, xs: Iterable[str]) -> str | None:
-        """Least upper bound of a set; the empty set's join is the bottom."""
-        key = ("join", frozenset(xs))
-        if key not in self._cache:
-            uppers = [
-                z
-                for z in self.elements
-                if all(self.leq(x, z) for x in key[1])
-            ]
-            least = [z for z in uppers if all(self.leq(z, w) for w in uppers)]
-            self._cache[key] = least[0] if least else None
-        return self._cache[key]
+        """Least upper bound of a set; the empty set's join is the bottom.
+
+        It is the z whose up-set equals the intersection of the up-sets of xs.
+        """
+        return _extremum(self._up, xs, self.elements)
 
     def bottom(self) -> str | None:
-        return self.join_of([])
+        return self.join_of(())
 
     def top(self) -> str | None:
-        tops = [z for z in self.elements if all(self.leq(x, z) for x in self.elements)]
-        return tops[0] if tops else None
+        return _extremum(self._down, (), self.elements)
 
     def maximal_elements(self) -> tuple[str, ...]:
-        return tuple(
-            x for x in self.elements if not any(self.lt(x, y) for y in self.elements)
-        )
+        return tuple(x for x in self.elements if len(self._up[x]) == 1)
 
     def restrict(self, subset: Iterable[str]) -> "Poset":
         """Induced subposet on the given elements (kept in parent order)."""
@@ -143,6 +136,21 @@ class Poset:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+def _extremum(
+    sets: Mapping[str, frozenset[str]], xs: Iterable[str], elements: Sequence[str]
+) -> str | None:
+    """The z whose own set equals the intersection of the sets of xs (all
+    elements when xs is empty), or None: the least upper bound when sets are
+    up-sets, the greatest lower bound when they are down-sets."""
+    bounds = None
+    for x in xs:
+        s = sets.get(x, _EMPTY)
+        bounds = s if bounds is None else bounds & s
+    if bounds is None:
+        bounds = frozenset(elements)
+    return next((z for z in bounds if sets[z] == bounds), None)
 
 
 def verify_poset(
@@ -160,32 +168,21 @@ def verify_poset(
             raise DuplicateElement(e)
         seen.add(e)
     elems = tuple(elements)
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    leq = [[False] * n for _ in range(n)]
-    for i in range(n):
-        leq[i][i] = True
+    up = {e: {e} for e in elems}
     for x, y in pairs:
-        if x not in index or y not in index:
+        if x not in up or y not in up:
             raise UnknownElement(f"pair ({x}, {y}) uses undeclared elements")
-        leq[index[x]][index[y]] = True
-    # Warshall closure.
-    for k in range(n):
-        rowk = leq[k]
-        for i in range(n):
-            if leq[i][k]:
-                rowi = leq[i]
-                for j in range(n):
-                    if rowk[j]:
-                        rowi[j] = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise CycleError(f"{elems[i]} <= {elems[j]} <= {elems[i]}")
-    rel = frozenset(
-        (elems[i], elems[j]) for i in range(n) for j in range(n) if leq[i][j]
-    )
-    return Poset(elems, rel)
+        up[x].add(y)
+    # Warshall closure on the up-sets.
+    for k in elems:
+        for x in elems:
+            if k in up[x]:
+                up[x] |= up[k]
+    for i, x in enumerate(elems):
+        for y in elems[i + 1 :]:
+            if y in up[x] and x in up[y]:
+                raise CycleError(f"{x} <= {y} <= {x}")
+    return Poset(elems, frozenset((x, y) for x in elems for y in up[x]))
 
 
 def finite_part(p: Poset) -> tuple[str, ...]:
@@ -253,10 +250,10 @@ def order_iso(source: Poset, target: Poset, mapping: Mapping[str, str]) -> Order
 
 
 def _signature(p: Poset, x: str) -> tuple[int, int, int]:
-    down = len(p.downset(x))
-    up = len(p.upset(x))
-    degree = sum(1 for y in p.elements if p.covers(x, y) or p.covers(y, x))
-    return (down, up, degree)
+    degree = sum(p.covers(x, y) for y in p._up[x]) + sum(
+        p.covers(y, x) for y in p._down[x]
+    )
+    return (len(p._down[x]), len(p._up[x]), degree)
 
 
 def enumerate_order_isos(p: Poset, q: Poset) -> list[OrderIso]:
@@ -312,30 +309,23 @@ def enumerate_order_isos(p: Poset, q: Poset) -> list[OrderIso]:
 
 @dataclass(frozen=True)
 class Ideal:
-    """A downset closed under existing pairwise joins (the empty set counts)."""
+    """A downset in which every two members have a join, and that join is a
+    member (the empty set counts)."""
 
     parent: Poset
     members: frozenset[str]
 
 
 def is_ideal(p: Poset, members: Iterable[str]) -> bool:
-    mem = set(members)
-    if not mem <= set(p.elements):
+    mem = frozenset(members)
+    if not p._down.keys() >= mem or any(not p._down[x] <= mem for x in mem):
         return False
-    for x in mem:
-        if any(p.leq(z, x) and z not in mem for z in p.elements):
-            return False
-    for x in mem:
-        for y in mem:
-            j = p.join(x, y)
-            if j is None or j not in mem:
-                return False
-    return True
+    return all(p.join(x, y) in mem for x, y in itertools.combinations(mem, 2))
 
 
 def ideals(p: Poset) -> list[Ideal]:
     """All ideals of p, enumerated over downsets (not raw subsets)."""
-    topo = sorted(p.elements, key=lambda x: (len(p.downset(x)), x))
+    topo = sorted(p.elements, key=lambda x: (len(p._down[x]), x))
     found: list[frozenset[str]] = []
 
     def recurse(i: int, current: set[str], banned: set[str]) -> None:
@@ -343,24 +333,17 @@ def ideals(p: Poset) -> list[Ideal]:
             found.append(frozenset(current))
             return
         x = topo[i]
-        recurse(i + 1, current, banned | set(p.upset(x)))
+        recurse(i + 1, current, banned | p._up[x])
         if x not in banned:
             current.add(x)
             recurse(i + 1, current, banned)
             current.discard(x)
 
     recurse(0, set(), set())
-    out = [
-        Ideal(p, mem)
-        for mem in found
-        if all(
-            (j := p.join(x, y)) is not None and j in mem
-            for x in mem
-            for y in mem
-        )
-    ]
-    out.sort(key=lambda ideal: (len(ideal.members), tuple(sorted(ideal.members))))
-    return out
+    return sorted(
+        (Ideal(p, mem) for mem in found if is_ideal(p, mem)),
+        key=lambda ideal: (len(ideal.members), tuple(sorted(ideal.members))),
+    )
 
 
 def extend_iso_via_ideals(mu: OrderIso, p: Poset, q: Poset) -> OrderIso:
@@ -392,9 +375,10 @@ def extend_iso_via_ideals(mu: OrderIso, p: Poset, q: Poset) -> OrderIso:
 
 
 def _extend_one_way(mu: OrderIso, p: Poset, q: Poset) -> dict[str, str]:
+    finite = frozenset(mu.source.elements)
     out: dict[str, str] = {}
     for x in p.elements:
-        below = [z for z in mu.source.elements if p.leq(z, x)]
+        below = p._down[x] & finite
         if not is_ideal(mu.source, below):
             raise NotAnIdeal(
                 f"downset of {x} in the finite part is not an ideal"
@@ -403,8 +387,7 @@ def _extend_one_way(mu: OrderIso, p: Poset, q: Poset) -> dict[str, str]:
             raise NotGenerated(
                 f"{x} is not the join of an ideal of the finite part"
             )
-        image = [mu.apply(z) for z in below]
-        j = q.join_of(image)
+        j = q.join_of(mu.apply(z) for z in below)
         if j is None:
             raise JoinMissing(f"image ideal of {x} has no join in the target")
         out[x] = j

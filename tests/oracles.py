@@ -3,9 +3,11 @@
 Nothing here shares search code with the package: Bell numbers come from
 the triangle recurrence, set partitions from restricted growth strings,
 isomorphism enumeration from raw bijection filtering with local checks,
-blocks from maximal cliques of the commutation relation, and the projection
+blocks from maximal cliques of the commutation relation, the projection
 order and coarsening from exact matrix products (the package decides them
-by traces and subset-sum keys).
+by traces and subset-sum keys), and poset joins, meets, covers and ideals
+from scans of the raw <= relation (the package reads up-sets and
+down-sets).
 """
 
 import itertools
@@ -169,3 +171,54 @@ def coarsens_by_products(p, q):
         if total != atom:
             return False
     return True
+
+
+# Poset queries from the pair set alone: `relation` holds every (x, y) with
+# x <= y.
+
+
+def join_by_relation(elements, relation, xs):
+    """The least common upper bound of xs (the least element when xs is
+    empty), or None."""
+    uppers = [z for z in elements if all((x, z) in relation for x in xs)]
+    least = [z for z in uppers if all((z, w) in relation for w in uppers)]
+    return least[0] if least else None
+
+
+def meet_by_relation(elements, relation, xs):
+    """The greatest common lower bound of xs (the greatest element when xs
+    is empty), or None."""
+    lowers = [z for z in elements if all((z, x) in relation for x in xs)]
+    greatest = [z for z in lowers if all((w, z) in relation for w in lowers)]
+    return greatest[0] if greatest else None
+
+
+def covers_by_relation(elements, relation, x, y):
+    """y covers x: x < y with no element strictly between."""
+    return (
+        x != y
+        and (x, y) in relation
+        and not any(
+            z not in (x, y) and (x, z) in relation and (z, y) in relation
+            for z in elements
+        )
+    )
+
+
+def maximal_by_relation(elements, relation):
+    """Elements below no other element, in element order."""
+    return tuple(
+        x for x in elements if not any(x != y and (x, y) in relation for y in elements)
+    )
+
+
+def is_ideal_by_relation(elements, relation, members):
+    """A downset in which every two members have a join that is a member."""
+    mem = set(members)
+    if not mem <= set(elements):
+        return False
+    if any((z, x) in relation and z not in mem for x in mem for z in elements):
+        return False
+    return all(
+        join_by_relation(elements, relation, (x, y)) in mem for x in mem for y in mem
+    )

@@ -270,23 +270,24 @@ def test_criterion_6_theorem_round_trip():
 
 
 def test_criterion_6_larger_dims():
-    """Criterion 6's round trip on dims (4,1), for ad-rot and transpose,
-    under the same per-instance budget."""
-    algebra = FinDimAlgebra((4, 1))
-    cases = {
-        "ad-rot": ad_unitary(algebra, rotation_unitary(algebra)),
-        "transpose": transpose_map(algebra),
-    }
+    """Criterion 6's round trip on dims (4,1) and (3,3), for ad-rot and
+    transpose, under the same per-instance budget."""
     overall_ok = True
     details = []
     slowest = 0.0
-    for label, g in cases.items():
-        start = time.perf_counter()
-        ok = _round_trip_case(algebra, g)
-        elapsed = time.perf_counter() - start
-        slowest = max(slowest, elapsed)
-        overall_ok = overall_ok and ok and elapsed < 60.0
-        details.append(f"{label}@(4, 1)={'ok' if ok else 'FAIL'}:{elapsed:.1f}s")
+    for dims in ((4, 1), (3, 3)):
+        algebra = FinDimAlgebra(dims)
+        cases = {
+            "ad-rot": ad_unitary(algebra, rotation_unitary(algebra)),
+            "transpose": transpose_map(algebra),
+        }
+        for label, g in cases.items():
+            start = time.perf_counter()
+            ok = _round_trip_case(algebra, g)
+            elapsed = time.perf_counter() - start
+            slowest = max(slowest, elapsed)
+            overall_ok = overall_ok and ok and elapsed < 60.0
+            details.append(f"{label}@{dims}={'ok' if ok else 'FAIL'}:{elapsed:.1f}s")
     _report("6 (larger dims)", overall_ok, slowest, 60.0, "; ".join(details))
 
 

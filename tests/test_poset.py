@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omljordan.oml import boolean_subalgebras, standard
 from omljordan.poset import (
@@ -8,6 +12,7 @@ from omljordan.poset import (
     NotAnIdeal,
     NotGenerated,
     ParseError,
+    Poset,
     UnknownElement,
     enumerate_order_isos,
     extend_iso_via_ideals,
@@ -20,6 +25,14 @@ from omljordan.poset import (
     verify_poset,
 )
 
+from .oracles import (
+    covers_by_relation,
+    is_ideal_by_relation,
+    join_by_relation,
+    maximal_by_relation,
+    meet_by_relation,
+)
+
 
 def chain(n):
     names = [f"x{i}" for i in range(n)]
@@ -28,6 +41,90 @@ def chain(n):
 
 def antichain(n):
     return verify_poset([f"x{i}" for i in range(n)], [])
+
+
+def diamond():
+    return verify_poset(
+        ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
+    )
+
+
+def _candidate_ideals(p):
+    """Every subset of a small poset; for a larger one, the principal
+    downsets, their pairwise unions and the complements of principal
+    up-sets."""
+    elements, relation = p.elements, p.relation
+    if len(elements) <= 8:
+        return [
+            set(c)
+            for r in range(len(elements) + 1)
+            for c in itertools.combinations(elements, r)
+        ]
+    downs = [{z for z in elements if (z, x) in relation} for x in elements]
+    ups = [{z for z in elements if (x, z) in relation} for x in elements]
+    return (
+        [set()]
+        + [d | e for d in downs for e in downs]
+        + [set(elements) - u for u in ups]
+    )
+
+
+def _check_against_relation_oracles(p):
+    """Every order query agrees with a scan of the raw relation."""
+    elements, relation = p.elements, p.relation
+    for x in elements:
+        assert p.downset(x) == tuple(z for z in elements if (z, x) in relation)
+        assert p.upset(x) == tuple(z for z in elements if (x, z) in relation)
+        for y in elements:
+            assert p.leq(x, y) == ((x, y) in relation)
+            assert p.join(x, y) == join_by_relation(elements, relation, (x, y))
+            assert p.meet(x, y) == meet_by_relation(elements, relation, (x, y))
+            assert p.covers(x, y) == covers_by_relation(elements, relation, x, y)
+    for xs in _candidate_ideals(p) + [set(elements)]:
+        assert p.join_of(xs) == join_by_relation(elements, relation, xs)
+        assert is_ideal(p, xs) == is_ideal_by_relation(elements, relation, xs)
+    assert p.bottom() == join_by_relation(elements, relation, ())
+    assert p.top() == meet_by_relation(elements, relation, ())
+    assert p.maximal_elements() == maximal_by_relation(elements, relation)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        chain(4),
+        antichain(3),
+        diamond(),
+        boolean_subalgebras(standard("boolean", 4)),
+        standard("mo", 3).order,
+    ],
+    ids=["chain", "antichain", "diamond", "bsub-boolean4", "mo3"],
+)
+def test_order_queries_match_relation_oracles(p):
+    _check_against_relation_oracles(p)
+
+
+@st.composite
+def random_posets(draw):
+    """verify_poset on random index pairs i < j (acyclic by construction),
+    with the elements listed in a random order."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    names = [f"p{i}" for i in range(n)]
+    pairs = []
+    if n > 1:
+        index = st.integers(min_value=0, max_value=n - 1)
+        for i, j in draw(st.lists(st.tuples(index, index), max_size=12)):
+            if i != j:
+                pairs.append((names[min(i, j)], names[max(i, j)]))
+    return verify_poset(draw(st.permutations(names)), pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_posets())
+def test_order_queries_match_relation_oracles_random(p):
+    _check_against_relation_oracles(p)
+    direct = Poset(p.elements, p.relation)
+    assert direct == p
+    _check_against_relation_oracles(direct)
 
 
 def test_singleton():
@@ -58,10 +155,7 @@ def test_unknown_element_rejected():
 
 
 def test_joins_and_meets():
-    # diamond 0 < a,b < 1
-    p = verify_poset(
-        ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
-    )
+    p = diamond()
     assert p.join("a", "b") == "1"
     assert p.meet("a", "b") == "0"
     assert p.bottom() == "0"

@@ -1,6 +1,7 @@
 import pytest
 
 from omljordan.oml import (
+    blocks,
     boolean_subalgebras,
     from_greechie,
     greechie_diagram,
@@ -32,6 +33,31 @@ def test_has_4element_block():
     assert has_4element_block(standard("mo", 2))
     assert not has_4element_block(standard("horizontal_sum_b8", 2))
     assert not has_4element_block(standard("boolean", 1))
+
+
+def test_lattice_enumerates_subalgebras_once(monkeypatch):
+    """BSub(L), blocks, the 4-element-block test, the induced BSub iso and
+    its certified reconstruction all share one enumeration of L's Boolean
+    subalgebras."""
+    from omljordan import oml
+
+    built = []
+    original = oml._subalgebra_from_partition
+
+    def counted(lattice, parts):
+        built.append(lattice)
+        return original(lattice, parts)
+
+    monkeypatch.setattr(oml, "_subalgebra_from_partition", counted)
+    lattice = standard("horizontal_sum_b8", 2)
+    bsub = boolean_subalgebras(lattice)
+    assert len(blocks(lattice)) == 2
+    assert not has_4element_block(lattice)
+    k = verify_oml_iso(lattice, lattice, {x: x for x in lattice.elements})
+    assert certify_unique(induced_bsub_iso(k)) == k
+    # An enumeration builds each subalgebra once, from its atom set.
+    assert set(built) == {lattice}
+    assert len(built) / len(bsub) == 1
 
 
 @pytest.mark.parametrize(
