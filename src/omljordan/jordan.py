@@ -10,10 +10,19 @@ order- and ortho-preserving projection map into such a linear map; the
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .linalg import ONE, ZERO, GaussScalar, Vector, rref
+from .linalg import (
+    GaussRow,
+    GaussScalar,
+    Vector,
+    echelon,
+    from_gauss_row,
+    gauss_row,
+    reduce_echelon,
+)
 from .matalg import (
     AbelianFragment,
     AlgElement,
@@ -26,6 +35,7 @@ from .matalg import (
     format_element,
     fragment,
     fragment_poset,
+    from_vec,
     jordan_product,
     partition_of_unity,
     proj_leq,
@@ -114,6 +124,41 @@ def proj_map_fragment(
     return ProjMapFragment(source, target, tuple(pair_list))
 
 
+# Sparse Gaussian-integer rows over one common denominator d: the j-th
+# element of a set is rows[j] / d, where rows[j] lists (index, re, im) for
+# its nonzero entries.
+SparseRows = tuple[int, tuple[tuple[tuple[int, int, int], ...], ...]]
+
+
+def _sparse_rows(elements: Iterable[AlgElement]) -> SparseRows:
+    scaled = [gauss_row(e.vec()) for e in elements]
+    d = math.lcm(*(dj for dj, _ in scaled))
+    return d, tuple(
+        tuple(
+            (i, u * (d // dj), v * (d // dj))
+            for i, (u, v) in enumerate(zip(re, im))
+            if u or v
+        )
+        for dj, (re, im) in scaled
+    )
+
+
+def _combination(
+    coeffs: Sequence[tuple[int, int, int]],
+    rows: Sequence[Sequence[tuple[int, int, int]]],
+    n: int,
+) -> GaussRow:
+    """sum_j (re + i*im) * rows[j] over the (j, re, im) in coeffs, as a
+    dense Gaussian-integer row of length n."""
+    out_re = [0] * n
+    out_im = [0] * n
+    for j, cr, ci in coeffs:
+        for i, u, v in rows[j]:
+            out_re[i] += cr * u - ci * v
+            out_im[i] += cr * v + ci * u
+    return out_re, out_im
+
+
 @dataclass(frozen=True, eq=False)
 class JordanMap:
     """A linear map given by generator/image pairs, defined on their span.
@@ -121,42 +166,64 @@ class JordanMap:
     Construction solves for a pivot basis among the generator vectors,
     precomputes an exact coordinate solver, and verifies that every linear
     relation among generators is matched by the images (well-definedness).
+    Coordinates and images are computed on Gaussian integers: _coords is
+    (d, P) with P @ x / d the coordinates of x in _basis, and the basis
+    generators and their images are kept as SparseRows, derived from _basis.
     """
 
     source: FinDimAlgebra
     target: FinDimAlgebra
     generators: tuple[tuple[AlgElement, AlgElement], ...]
     _basis: tuple[tuple[AlgElement, AlgElement], ...] = field(repr=False)
-    _coords: tuple[Vector, ...] = field(repr=False)
+    _coords: tuple[int, tuple[GaussRow, ...]] = field(repr=False)
+    _basis_rows: SparseRows = field(init=False, repr=False)
+    _image_rows: SparseRows = field(init=False, repr=False)
 
-    def _coordinates(self, x: AlgElement) -> list[GaussScalar] | None:
-        vec = x.vec()
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_basis_rows", _sparse_rows(g for g, _ in self._basis)
+        )
+        object.__setattr__(
+            self, "_image_rows", _sparse_rows(img for _, img in self._basis)
+        )
+
+    def _coordinates(
+        self, x: AlgElement
+    ) -> tuple[int, list[tuple[int, int, int]]] | None:
+        """(e, [(j, re, im), ...]): the coordinate of x on basis element j
+        is (re + i*im) / e, zero where j is not listed; None when x is
+        outside the span."""
+        dx, (xr, xi) = gauss_row(x.vec())
         # matrix units and projections are sparse: sum over nonzero entries only
-        support = [(i, v) for i, v in enumerate(vec) if not v.is_zero()]
-        coeffs = [
-            sum((row[i] * v for i, v in support), GaussScalar.of(0))
-            for row in self._coords
-        ]
-        # exact membership check: the candidate must reconstruct x
-        rebuilt = [GaussScalar.of(0)] * len(vec)
-        for c, (gen, _) in zip(coeffs, self._basis):
-            if not c.is_zero():
-                for i, v in enumerate(gen.vec()):
-                    if not v.is_zero():
-                        rebuilt[i] = rebuilt[i] + c * v
-        if tuple(rebuilt) != vec:
+        support = [(i, u, v) for i, (u, v) in enumerate(zip(xr, xi)) if u or v]
+        d, solver = self._coords
+        coeffs = []
+        for j, (pr, pi) in enumerate(solver):
+            cr = ci = 0
+            for i, u, v in support:
+                a, b = pr[i], pi[i]
+                if a or b:
+                    cr += a * u - b * v
+                    ci += a * v + b * u
+            if cr or ci:
+                coeffs.append((j, cr, ci))
+        # exact membership check: the coefficients must rebuild x, that is
+        # sum_j coeff_j * basis_j / (d * dx * dg) == x / dx
+        dg, basis_rows = self._basis_rows
+        rr, ri = _combination(coeffs, basis_rows, len(xr))
+        scale = d * dg
+        if rr != [u * scale for u in xr] or ri != [v * scale for v in xi]:
             return None
-        return coeffs
+        return d * dx, coeffs
 
     def apply(self, x: AlgElement) -> AlgElement:
-        coeffs = self._coordinates(x)
-        if coeffs is None:
+        coords = self._coordinates(x)
+        if coords is None:
             raise NotInSpan("element is outside the map's span")
-        out = self.target.zero()
-        for c, (_, img) in zip(coeffs, self._basis):
-            if not c.is_zero():
-                out = out + img.scale(c)
-        return out
+        e, coeffs = coords
+        di, image_rows = self._image_rows
+        out = _combination(coeffs, image_rows, self.target.dimension)
+        return from_vec(self.target, from_gauss_row(out, e * di))
 
     def span_dimension(self) -> int:
         return len(self._basis)
@@ -176,24 +243,39 @@ class JordanMap:
             return False
 
 
-def _coordinate_rows(basis_vectors: Sequence[Vector]) -> tuple[Vector, ...]:
-    """Rows P with P @ x = coordinates of x in the basis, for x in the span.
+def _coordinate_solver(
+    vectors: Sequence[Vector],
+) -> tuple[list[int], tuple[int, tuple[GaussRow, ...]]]:
+    """The indices of a basis among the vectors (each vector that is not in
+    the span of the earlier ones) and the coordinate solver (d, P): P @ x / d
+    is the coordinate vector of x in that basis, for x in the span.
 
-    Row-reduce [B | I] where B stacks the basis as columns; the rows whose
-    pivots fall inside B give a left inverse of B.
+    Row-reduce [V | I] over Gaussian integers, where V stacks the vectors,
+    each scaled by its denominator s_j, as columns: the pivot columns inside
+    V pick the basis, and the rows with those pivots, (N_r at column j_r |
+    Q_r), give the solver rows Q_r * s_(j_r) / N_r.
     """
-    if not basis_vectors:
-        return ()
-    dim = len(basis_vectors[0])
-    k = len(basis_vectors)
-    aug = []
+    k = len(vectors)
+    scaled = [gauss_row(v) for v in vectors]
+    dim = len(vectors[0])
+    work = []
     for i in range(dim):
-        row = [basis_vectors[j][i] for j in range(k)]
-        row.extend(ONE if i == d else ZERO for d in range(dim))
-        aug.append(row)
-    reduced, pivots = rref(aug)
-    return tuple(
-        tuple(row[k:]) for row, pc in zip(reduced, pivots) if pc < k
+        re = [row[0][i] for _, row in scaled] + [0] * dim
+        re[k + i] = 1
+        work.append((re, [row[1][i] for _, row in scaled] + [0] * dim))
+    pivots = echelon(work)
+    reduce_echelon(work, pivots)
+    basis = [c for c in pivots if c < k]
+    d = math.lcm(*(work[r][0][c] for r, c in enumerate(basis)))
+    solver = []
+    for r, c in enumerate(basis):
+        factor = scaled[c][0] * (d // work[r][0][c])
+        re, im = work[r]
+        solver.append(([u * factor for u in re[k:]], [v * factor for v in im[k:]]))
+    g = math.gcd(d, *(u for row in solver for part in row for u in part))
+    return basis, (
+        d // g,
+        tuple(([u // g for u in re], [v // g for v in im]) for re, im in solver),
     )
 
 
@@ -207,12 +289,8 @@ def jordan_map(
     for g, img in generators:
         if g.algebra != source or img.algebra != target:
             raise ParentMismatch("generator pair from the wrong algebras")
-    vectors = [g.vec() for g, _ in generators]
-    _, pivots = rref(
-        [[vectors[j][i] for j in range(len(vectors))] for i in range(len(vectors[0]))]
-    )
+    pivots, coords = _coordinate_solver([g.vec() for g, _ in generators])
     basis = tuple(generators[j] for j in pivots)
-    coords = _coordinate_rows([g.vec() for g, _ in basis])
     candidate = JordanMap(source, target, tuple(generators), basis, coords)
     for g, img in generators:
         if candidate.apply(g) != img:

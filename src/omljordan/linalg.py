@@ -1,8 +1,10 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Everything in this package that touches matrices goes through this module.
-All arithmetic is exact (fractions.Fraction under the hood); there is no
-floating point and no tolerance anywhere.
+All arithmetic is exact: scalars are pairs of fractions.Fraction, and
+elimination runs fraction-free on Gaussian integers (each row scaled by the
+lcm of its denominators).  There is no floating point and no tolerance
+anywhere.
 """
 
 from __future__ import annotations
@@ -287,44 +289,118 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination.  Vectors are tuples of GaussScalar; a "row matrix" is
-# a list of such tuples.  rref pivots are chosen left to right, which keeps
-# every basis this module returns deterministic.
+# Fraction-free Gaussian elimination.  Vectors are tuples of GaussScalar; a
+# "row matrix" is a list of such tuples.  Elimination works on each row
+# scaled by the lcm of its denominators, a GaussRow of Gaussian integers;
+# each new row is divided by the integer gcd of its parts, which keeps the
+# entries small.  Pivots are chosen left to right, which keeps every basis
+# this module returns deterministic.
 # ---------------------------------------------------------------------------
 
 Vector = tuple[GaussScalar, ...]
+GaussRow = tuple[list[int], list[int]]  # real parts, imaginary parts
 
 
-def rref(rows: Sequence[Sequence[GaussScalar]]) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    work = [list(row) for row in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
+def gauss_row(entries: Sequence[GaussScalar]) -> tuple[int, GaussRow]:
+    """(d, row) with entries = row / d and d the least positive common
+    denominator."""
+    d = math.lcm(
+        *(x.re.denominator for x in entries), *(x.im.denominator for x in entries)
+    )
+    return d, (
+        [x.re.numerator * (d // x.re.denominator) for x in entries],
+        [x.im.numerator * (d // x.im.denominator) for x in entries],
+    )
+
+
+def from_gauss_row(row: GaussRow, d: int) -> Vector:
+    """The vector row / d, for a positive integer d."""
+    return tuple(
+        GaussScalar(Fraction(u, d) if u else _F0, Fraction(v, d) if v else _F0)
+        if u or v
+        else ZERO
+        for u, v in zip(*row)
+    )
+
+
+def _primitive(re: list[int], im: list[int]) -> GaussRow:
+    """The row divided by the integer gcd of its parts."""
+    g = math.gcd(*re, *im)
+    if g > 1:
+        return [u // g for u in re], [v // g for v in im]
+    return re, im
+
+
+def _cancel(pivot_row: GaussRow, c: int, row: GaussRow) -> GaussRow:
+    """p*row - x*pivot_row made primitive, where p and x are the two rows'
+    entries in column c divided by their common integer factor, so that
+    column c of the result is zero."""
+    pr, pi = pivot_row
+    xr, xi = row
+    a, b, e, f = pr[c], pi[c], xr[c], xi[c]
+    g = math.gcd(a, b, e, f)
+    a, b, e, f = a // g, b // g, e // g, f // g
+    return _primitive(
+        [a * u - b * v - e * s + f * t for u, v, s, t in zip(xr, xi, pr, pi)],
+        [a * v + b * u - e * t - f * s for u, v, s, t in zip(xr, xi, pr, pi)],
+    )
+
+
+def echelon(work: list[GaussRow]) -> list[int]:
+    """Forward elimination in place; returns the pivot columns.  Afterwards
+    row r < len(pivots) of work leads with its entry in column pivots[r],
+    and the remaining rows are zero."""
     pivots: list[int] = []
+    if not work:
+        return pivots
     r = 0
-    for c in range(ncols):
+    for c in range(len(work[0][0])):
         pivot_row = next(
-            (i for i in range(r, len(work)) if not work[i][c].is_zero()), None
+            (i for i in range(r, len(work)) if work[i][0][c] or work[i][1][c]),
+            None,
         )
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        for i in range(r + 1, len(work)):
+            if work[i][0][c] or work[i][1][c]:
+                work[i] = _cancel(work[r], c, work[i])
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return [tuple(row) for row in work[:r]], pivots
+    return pivots
+
+
+def reduce_echelon(work: list[GaussRow], pivots: Sequence[int]) -> None:
+    """Back substitution in place after echelon: each pivot becomes a
+    positive integer and the only nonzero entry of its column, so row r is
+    row r of the reduced row echelon form times work[r][0][pivots[r]]."""
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        re, im = work[r]
+        a, b = re[c], im[c]
+        if b or a < 0:
+            # times the conjugate pivot: the pivot becomes a^2 + b^2
+            work[r] = _primitive(
+                [a * u + b * v for u, v in zip(re, im)],
+                [a * v - b * u for u, v in zip(re, im)],
+            )
+        for i in range(r):
+            if work[i][0][c] or work[i][1][c]:
+                work[i] = _cancel(work[r], c, work[i])
+
+
+def rref(rows: Sequence[Sequence[GaussScalar]]) -> tuple[list[Vector], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
+    work = [gauss_row(row)[1] for row in rows]
+    pivots = echelon(work)
+    reduce_echelon(work, pivots)
+    return [from_gauss_row(row, row[0][c]) for row, c in zip(work, pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence[GaussScalar]]) -> int:
-    return len(rref(rows)[0])
+    return len(echelon([gauss_row(row)[1] for row in rows]))
 
 
 def nullspace(rows: Sequence[Sequence[GaussScalar]]) -> list[Vector]:

@@ -247,24 +247,29 @@ def _trusted_projection(e: AlgElement) -> Projection:
     return p
 
 
+def _trace_of_product(p: Projection, q: Projection) -> Fraction:
+    """tr(pq), which is real for projections: the real parts summed over
+    the nonzero entries of p."""
+    total = 0
+    for pb, qb in zip(p.blocks, q.blocks):
+        q_rows = qb.entries
+        for i, row in enumerate(pb.entries):
+            for j, x in enumerate(row):
+                if x.re or x.im:
+                    y = q_rows[j][i]
+                    total += x.re * y.re - x.im * y.im
+    return total
+
+
 def proj_leq(p: Projection, q: Projection) -> bool:
     """Projection order: p <= q iff qp = p iff tr(pq) = tr(p).
 
     The trace test is exact: tr(p) - tr(pq) = ||(1-q)p||^2 (Hilbert-Schmidt),
-    which vanishes iff (1-q)p = 0.  For projections tr(pq) is real, so only
-    real parts are summed, over the nonzero entries of p.
+    which vanishes iff (1-q)p = 0.
     """
     p._same_parent(q)
-    diff = 0
-    for pb, qb in zip(p.blocks, q.blocks):
-        q_rows = qb.entries
-        for i, row in enumerate(pb.entries):
-            diff += row[i].re
-            for j, x in enumerate(row):
-                if x.re or x.im:
-                    y = q_rows[j][i]
-                    diff -= x.re * y.re - x.im * y.im
-    return diff == 0
+    trace_p = sum(row[i].re for b in p.blocks for i, row in enumerate(b.entries))
+    return _trace_of_product(p, q) == trace_p
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,8 +304,10 @@ def partition_of_unity(
             raise InvalidPartition("zero atom")
         if p.algebra != algebra:
             raise ParentMismatch("atom from a different algebra")
+    # pq = 0 iff tr(pq) = ||pq||^2 (Hilbert-Schmidt) vanishes, and then
+    # qp = (pq)* = 0 as well
     for p, q in itertools.combinations(projs, 2):
-        if not (p * q).is_zero() or not (q * p).is_zero():
+        if _trace_of_product(p, q):
             raise InvalidPartition("atoms are not pairwise orthogonal")
     total = algebra.zero()
     for p in projs:
@@ -837,11 +844,14 @@ def projection_oml(
                 f"projection set is not complement-closed at {labels[p.sort_key()]}"
             )
     elements = [labels[p.sort_key()] for p in ordered]
+    # p < q forces rank p < rank q: if p <= q with equal ranks, q - p is a
+    # projection of trace 0, so p = q
+    ranks = [p.rank() for p in ordered]
     pairs = [
-        (labels[p.sort_key()], labels[q.sort_key()])
-        for p in ordered
-        for q in ordered
-        if p.sort_key() != q.sort_key() and proj_leq(p, q)
+        (x, y)
+        for x, p, rp in zip(elements, ordered, ranks)
+        for y, q, rq in zip(elements, ordered, ranks)
+        if rp < rq and proj_leq(p, q)
     ]
     order = verify_poset(elements, pairs)
     ortho = {labels[p.sort_key()]: labels[(ident - p).sort_key()] for p in ordered}

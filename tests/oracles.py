@@ -4,13 +4,17 @@ Nothing here shares search code with the package: Bell numbers come from
 the triangle recurrence, set partitions from restricted growth strings,
 isomorphism enumeration from raw bijection filtering with local checks,
 blocks from maximal cliques of the commutation relation, the projection
-order and coarsening from exact matrix products (the package decides them
-by traces and subset-sum keys), and poset joins, meets, covers and ideals
-from scans of the raw <= relation (the package reads up-sets and
-down-sets).
+order, orthogonality and coarsening from exact matrix products (the package
+decides them by traces and subset-sum keys), poset joins, meets, covers and
+ideals from scans of the raw <= relation (the package reads up-sets and
+down-sets), and the reduced row echelon form by Gauss-Jordan elimination on
+GaussScalar fractions (the package eliminates fraction-free on Gaussian
+integers).
 """
 
 import itertools
+
+from omljordan.linalg import GaussScalar
 
 
 def bell_triangle(n):
@@ -160,6 +164,11 @@ def leq_by_products(p, q):
     return q * p == p
 
 
+def orthogonal_by_products(p, q):
+    """pq = 0 and qp = 0, by two exact matrix products."""
+    return (p * q).is_zero() and (q * p).is_zero()
+
+
 def coarsens_by_products(p, q):
     """Partition p coarsens q: the atoms of q under each atom of p sum back
     to that atom."""
@@ -222,3 +231,32 @@ def is_ideal_by_relation(elements, relation, members):
     return all(
         join_by_relation(elements, relation, (x, y)) in mem for x in mem for y in mem
     )
+
+
+def rref_by_fractions(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination in GaussScalar
+    arithmetic; returns (nonzero rows as tuples, pivot columns)."""
+    work = [list(row) for row in rows]
+    if not work:
+        return [], []
+    one = GaussScalar.of(1)
+    pivots = []
+    r = 0
+    for c in range(len(work[0])):
+        pivot_row = next(
+            (i for i in range(r, len(work)) if not work[i][c].is_zero()), None
+        )
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = one / work[r][c]
+        work[r] = [inv * x for x in work[r]]
+        for i in range(len(work)):
+            if i != r and not work[i][c].is_zero():
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return [tuple(row) for row in work[:r]], pivots

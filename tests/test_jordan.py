@@ -21,6 +21,7 @@ from omljordan.jordan import (
     transpose_map,
     verify_jordan,
 )
+from omljordan.linalg import I
 from omljordan.matalg import (
     AlgElement,
     FinDimAlgebra,
@@ -34,6 +35,7 @@ from .conftest import (
     diag_plus_rotated_fragment,
     diagonal_partition,
     random_element,
+    random_scalar,
     rng,
     rotation_unitary,
 )
@@ -130,6 +132,63 @@ def test_jordan_map_not_in_span(m2):
     phi = jordan_map(m2, m2, [(p, p)])
     with pytest.raises(NotInSpan):
         phi.apply(m2.from_rows([[0, 1], [0, 0]]))
+
+
+def _complex_unitary(algebra):
+    """(1/5)[[3, 4i], [4i, 3]] times the rotation (1/5)[[3, 4], [-4, 3]], in
+    the first summand's first two coordinates, identity elsewhere."""
+    turn = algebra.identity() + (
+        algebra.matrix_unit(0, 0, 0) + algebra.matrix_unit(0, 1, 1)
+    ).scale(Fraction(-2, 5)) + (
+        algebra.matrix_unit(0, 0, 1) + algebra.matrix_unit(0, 1, 0)
+    ).scale(I * Fraction(4, 5))
+    return turn * rotation_unitary(algebra)
+
+
+@pytest.mark.parametrize(
+    "dims", [(3,), (2, 1), (3, 1)], ids=["(3,)", "(2,1)", "(3,1)"]
+)
+def test_map_coordinates_match_closed_forms(dims):
+    """Ad(u), the transpose and their composite, applied through exact
+    coordinates, equal u x u* and x^T on elements with complex entries and
+    mixed denominators."""
+    algebra = FinDimAlgebra(dims)
+    u = _complex_unitary(algebra)
+    assert any(not x.is_real() for x in u.vec())
+    ad = ad_unitary(algebra, u)
+    tr = transpose_map(algebra)
+    both = compose_maps(ad, tr)
+    r = rng(3)
+    for k in range(12):
+        x = random_element(algebra, r, span=9, denom=10**6 if k % 2 else 7)
+        assert ad.covers(x)
+        assert ad.apply(x) == u * x * u.star()
+        assert tr.apply(x) == x.transpose()
+        assert both.apply(x) == (u * x * u.star()).transpose()
+
+
+def test_fragment_span_map_rejects_elements_outside_span(m31):
+    """A map defined on a fragment span applies exactly inside it; outside
+    it, covers is False and apply raises NotInSpan."""
+    projections = [
+        AlgElement(p.algebra, p.blocks)
+        for p in diag_plus_rotated_fragment(m31).projections()
+    ]
+    u = _complex_unitary(m31)
+    phi = jordan_map(m31, m31, [(p, u * p * u.star()) for p in projections])
+    assert phi.span_dimension() < m31.dimension
+    r = rng(4)
+    for _ in range(10):
+        inside = m31.zero()
+        for p in projections:
+            inside = inside + p.scale(random_scalar(r, 9, 10**6))
+        assert phi.covers(inside)
+        assert phi.apply(inside) == u * inside * u.star()
+        nudged = inside + m31.matrix_unit(0, 0, 2).scale(Fraction(1, 10**6))
+        for outside in (nudged, random_element(m31, r, span=9, denom=10**6)):
+            assert not phi.covers(outside)
+            with pytest.raises(NotInSpan):
+                phi.apply(outside)
 
 
 def test_uniqueness_on_span(m3):

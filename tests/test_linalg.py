@@ -18,6 +18,8 @@ from omljordan.linalg import (
     same_span,
 )
 
+from .oracles import rref_by_fractions
+
 fractions = st.builds(
     Fraction,
     st.integers(min_value=-50, max_value=50),
@@ -124,6 +126,96 @@ def test_same_span():
     e2 = (GaussScalar.of(0), GaussScalar.of(1))
     assert same_span([v1, v2], [e1, e2])
     assert not same_span([v1], [e1])
+
+
+# Entry parts: zero (often, for sparse rows and empty pivot columns), small
+# fractions, and fractions with numerators and denominators up to 10^6.
+_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction, st.integers(min_value=-3, max_value=3), st.integers(1, 4)
+    ),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**6), max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+    ),
+)
+_entries = st.builds(GaussScalar, _parts, _parts)
+
+
+@st.composite
+def _gauss_matrices(draw, max_rows=8, max_cols=16):
+    """Up to max_rows x max_cols Gaussian-rational rows, with zero rows,
+    duplicated rows and Gaussian combinations of earlier rows mixed in."""
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_rows))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "dup", "combo"]))
+        if kind == "zero" or (kind != "random" and not rows):
+            rows.append([GaussScalar.of(0)] * ncols)
+        elif kind == "dup":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combo":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(_entries), draw(_entries)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(_entries, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gauss_matrices(), st.data())
+def test_elimination_matches_fraction_oracle(rows, data):
+    reduced, pivots = rref(rows)
+    expected_rows, expected_pivots = rref_by_fractions(rows)
+    assert pivots == expected_pivots
+    assert reduced == expected_rows
+    assert rank(rows) == len(expected_rows)
+    if rows:
+        # the standard nullspace basis: one vector per non-pivot column,
+        # 1 there and 0 in the other non-pivot columns, killing every row
+        ncols = len(rows[0])
+        free = [c for c in range(ncols) if c not in expected_pivots]
+        basis = nullspace(rows)
+        assert len(basis) == len(free)
+        for fc, vec in zip(free, basis):
+            assert [vec[c] for c in free] == [
+                GaussScalar.of(int(c == fc)) for c in free
+            ]
+            for row in rows:
+                acc = GaussScalar.of(0)
+                for x, v in zip(row, vec):
+                    acc = acc + x * v
+                assert acc.is_zero()
+    # same_span against the oracle's ranks, on a second set drawn from the
+    # same rows (often spanning the same space) or fresh rows
+    others = data.draw(
+        st.lists(st.sampled_from(rows), max_size=8) if rows else st.just([])
+    )
+    if data.draw(st.booleans()) and rows:
+        others = others + [
+            data.draw(st.lists(_entries, min_size=len(rows[0]), max_size=len(rows[0])))
+        ]
+    oracle_rank = lambda vs: len(rref_by_fractions(vs)[0])  # noqa: E731
+    assert same_span(rows, others) == (
+        oracle_rank(rows) == oracle_rank(others) == oracle_rank(rows + others)
+    )
+
+
+def test_elimination_complex_pivot_and_large_denominators():
+    i = GaussScalar(Fraction(0), Fraction(1))
+    big = GaussScalar(Fraction(999_983, 1_000_000), Fraction(-7, 999_979))
+    rows = [
+        [GaussScalar.of(0), i * 3 + 2, big, GaussScalar.of(1)],
+        [GaussScalar.of(0), GaussScalar.of(0), GaussScalar.of(0), GaussScalar.of(0)],
+        [big, i, GaussScalar.of(0), big * big],
+        [big, i, GaussScalar.of(0), big * big],
+    ]
+    assert rref(rows) == rref_by_fractions(rows)
+    assert rank(rows) == 2
+    assert rref(rows)[1] == [0, 1]
 
 
 def test_char_poly_diagonal():

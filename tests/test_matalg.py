@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,7 @@ from .oracles import (
     coarsens_by_products,
     is_projection_by_products,
     leq_by_products,
+    orthogonal_by_products,
 )
 
 
@@ -319,26 +321,78 @@ def test_coarsens(m3):
     assert not coarsens(diag, coarse)
 
 
+def _phase_turned_fragment(algebra):
+    """diag_plus_rotated_fragment with the rotation turned by the phase i on
+    the second coordinate, so that entries are complex."""
+    phase = algebra.identity() + algebra.matrix_unit(0, 1, 1).scale(I - 1)
+    v = phase * rotation_unitary(algebra)
+    return coarsening_closure(
+        algebra,
+        {
+            "diag": diagonal_partition(algebra),
+            "rot": partition_of_unity(
+                algebra,
+                [as_projection(v * p * v.star()) for p in algebra.diagonal_atoms()],
+            ),
+        },
+    )
+
+
 def test_proj_leq_matches_product_oracle(m31):
     projs = diag_plus_rotated_fragment(m31).projections()
     assert len(projs) == 24
-    # The same fragment turned by a phase, so that entries are complex.
-    phase = m31.from_rows([[1, 0, 0], [0, I, 0], [0, 0, 1]], [[1]])
-    v = phase * rotation_unitary(m31)
-    turned = coarsening_closure(
-        m31,
-        {
-            "diag": diagonal_partition(m31),
-            "rot": partition_of_unity(
-                m31, [as_projection(v * p * v.star()) for p in m31.diagonal_atoms()]
-            ),
-        },
-    ).projections()
+    turned = _phase_turned_fragment(m31).projections()
     assert any(not x.is_real() for p in turned for x in p.vec())
     for family in (projs, turned):
         for p in family:
             for q in family:
                 assert proj_leq(p, q) == leq_by_products(p, q)
+
+
+@pytest.mark.parametrize("dims", [(3, 1), (2, 2)], ids=["(3,1)", "(2,2)"])
+def test_projection_oml_order_matches_product_oracle(dims):
+    """projection_oml tests only pairs of increasing rank; its order must
+    still be qp = p on every pair of labels."""
+    algebra = FinDimAlgebra(dims)
+    for frag in (diag_plus_rotated_fragment(algebra), _phase_turned_fragment(algebra)):
+        projs = frag.projections()
+        lattice, by_label = projection_oml(algebra, projs)
+        assert len(lattice) == len(projs)
+        for x in lattice.elements:
+            for y in lattice.elements:
+                assert lattice.leq(x, y) == leq_by_products(by_label[x], by_label[y])
+
+
+def test_partition_orthogonality_matches_product_oracle(m31):
+    """partition_of_unity reports non-orthogonal atoms exactly when a pair
+    has pq != 0 or qp != 0 by matrix products, on complex projections."""
+    ident = m31.identity()
+    pool = [
+        p
+        for frag in (diag_plus_rotated_fragment(m31), _phase_turned_fragment(m31))
+        for p in frag.projections()
+        if not p.is_zero() and p != ident
+    ]
+    assert any(not x.is_real() for p in pool for x in p.vec())
+    r = rng(11)
+    outcomes = set()
+    for _ in range(200):
+        atoms = r.sample(pool, r.randint(2, 4))
+        orthogonal = all(
+            orthogonal_by_products(p, q) for p, q in itertools.combinations(atoms, 2)
+        )
+        try:
+            partition_of_unity(m31, atoms)
+            outcome = "partition"
+        except InvalidPartition as exc:
+            outcome = str(exc)
+        assert (outcome == "atoms are not pairwise orthogonal") == (not orthogonal)
+        outcomes.add(outcome)
+    assert outcomes == {
+        "partition",
+        "atoms are not pairwise orthogonal",
+        "atoms do not sum to the identity",
+    }
 
 
 @pytest.mark.parametrize("dims", [(3, 1), (2, 2)], ids=["(3,1)", "(2,2)"])
