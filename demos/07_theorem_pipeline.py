@@ -11,7 +11,7 @@ Run:  python demos/07_theorem_pipeline.py
 
 from fractions import Fraction
 
-from omljordan.jordan import ad_unitary, image_fragment, induced_subalgebra_map
+from omljordan.jordan import ad_unitary
 from omljordan.matalg import (
     AlgElement,
     FinDimAlgebra,
@@ -21,8 +21,8 @@ from omljordan.matalg import (
     partition_of_unity,
 )
 from omljordan.pipeline import (
+    induced_instance,
     run_pipeline,
-    theorem_instance,
     verify_claims,
     verify_uniqueness,
 )
@@ -44,10 +44,7 @@ fragment_m = coarsening_closure(m3, {"diag": diag, "rot": rot})
 print("fragment members:", fragment_m.names())
 
 g = ad_unitary(m3, u)
-f = induced_subalgebra_map(g, fragment_m)  # only order data goes in
-instance = theorem_instance(
-    m3, m3, fragment_m, image_fragment(g, fragment_m), dict(f.mapping)
-)
+instance = induced_instance(g, fragment_m)  # only order data goes in
 
 run = instance.run
 for step in run.steps:

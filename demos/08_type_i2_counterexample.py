@@ -11,7 +11,7 @@ Run:  python demos/08_type_i2_counterexample.py
 from fractions import Fraction
 from pathlib import Path
 
-from omljordan.jordan import identity_map, image_fragment, induced_subalgebra_map
+from omljordan.jordan import identity_map
 from omljordan.matalg import (
     FinDimAlgebra,
     as_projection,
@@ -21,8 +21,8 @@ from omljordan.matalg import (
 )
 from omljordan.pipeline import (
     AmbiguousReconstruction,
+    induced_instance,
     run_pipeline,
-    theorem_instance,
     write_instance_files,
 )
 
@@ -36,11 +36,7 @@ rot = partition_of_unity(
 )
 frag = coarsening_closure(m2, {"diag": diag, "rot": rot})
 
-ident = identity_map(m2)
-f = induced_subalgebra_map(ident, frag)
-instance = theorem_instance(
-    m2, m2, frag, image_fragment(ident, frag), dict(f.mapping)
-)
+instance = induced_instance(identity_map(m2), frag)
 
 try:
     run_pipeline(instance)

@@ -358,15 +358,7 @@ def _counterexample_instance() -> pipeline.TheoremInstance:
         ],
     )
     frag = matalg.coarsening_closure(algebra, {"diag": diag, "rot": rot})
-    ident = jordanmod.identity_map(algebra)
-    iso = jordanmod.induced_subalgebra_map(ident, frag)
-    return pipeline.theorem_instance(
-        algebra,
-        algebra,
-        frag,
-        jordanmod.image_fragment(ident, frag),
-        dict(iso.mapping),
-    )
+    return pipeline.induced_instance(jordanmod.identity_map(algebra), frag)
 
 
 def cmd_counterexample(args) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import oml as omlmod
-from .combinat import set_partitions
+from .combinat import bell_number, set_partitions
 from .linalg import (
     HALF,
     ONE,
@@ -628,9 +628,7 @@ def _merges(p: PartitionOfUnity):
 
 
 def fragment(
-    algebra: FinDimAlgebra,
-    named: Mapping[str, PartitionOfUnity],
-    require_coarsening_closed: bool = False,
+    algebra: FinDimAlgebra, named: Mapping[str, PartitionOfUnity]
 ) -> AbelianFragment:
     parts = dict(named)
     for name, p in parts.items():
@@ -641,15 +639,22 @@ def fragment(
     keys = {p.key() for p in parts.values()}
     if len(keys) != len(parts):
         raise InvalidFragment("two names denote the same partition")
-    if require_coarsening_closed:
-        for name, p in parts.items():
-            for merged, _ in _merges(p):
-                if merged not in keys:
-                    raise InvalidFragment(
-                        f"fragment is not coarsening-closed: a merge of "
-                        f"{name!r} is missing"
-                    )
     return AbelianFragment(algebra, parts)
+
+
+def check_coarsening_closed(frag: AbelianFragment) -> None:
+    """Raise InvalidFragment unless every merge of every member's atoms is a
+    member.  The Bell(k) merges of a k-atom member are distinct partitions,
+    so a member with more of them than the fragment has members is rejected
+    before any merge is built."""
+    keys = {p.key() for p in frag.partitions.values()}
+    for name, p in frag.partitions.items():
+        if bell_number(len(p)) > len(keys) or any(
+            merged not in keys for merged, _ in _merges(p)
+        ):
+            raise InvalidFragment(
+                f"fragment is not coarsening-closed: a merge of {name!r} is missing"
+            )
 
 
 def coarsening_closure(
@@ -677,8 +682,8 @@ def coarsening_closure(
         p = generated[key]
         names[key] = "trivial" if p.is_trivial() else f"m{i}"
         parts[key] = p
-    named_out = {names[k]: parts[k] for k in parts}
-    return fragment(algebra, named_out, require_coarsening_closed=True)
+    # closed by construction: a merge of a merge of p is a merge of p
+    return fragment(algebra, {names[k]: parts[k] for k in parts})
 
 
 def fragment_poset(frag: AbelianFragment) -> Poset:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from pathlib import Path
 
 from . import reconstruct as rec
@@ -25,6 +24,7 @@ from .jordan import (
     ProjMapFragment,
     Report,
     ReportEntry,
+    image_fragment,
     jordan_map,
     spectral_extend,
 )
@@ -35,7 +35,7 @@ from .matalg import (
     FinDimAlgebra,
     PartitionOfUnity,
     Projection,
-    SpectralElement,
+    check_coarsening_closed,
     fragment,
     fragment_poset,
     is_type_I2_free,
@@ -105,11 +105,14 @@ def theorem_instance(
     mapping: dict[str, str],
 ) -> TheoremInstance:
     """Validate fragments (trivial present, coarsening-closed) and f."""
-    try:
-        fragment(algebra_m, fragment_m.partitions, require_coarsening_closed=True)
-        fragment(algebra_n, fragment_n.partitions, require_coarsening_closed=True)
-    except Exception as exc:
-        raise InvalidInstance(f"fragment invariant violated: {exc}")
+    for side, algebra, frag in (
+        ("M", algebra_m, fragment_m),
+        ("N", algebra_n, fragment_n),
+    ):
+        try:
+            check_coarsening_closed(fragment(algebra, frag.partitions))
+        except Exception as exc:
+            raise InvalidInstance(f"fragment {side} invalid: {exc}")
     try:
         f = order_iso(
             fragment_poset(fragment_m), fragment_poset(fragment_n), mapping
@@ -129,6 +132,15 @@ def theorem_instance(
     if f.apply(trivial_m) != trivial_n:
         raise InvalidInstance("f does not map the trivial subalgebra to trivial")
     return TheoremInstance(algebra_m, algebra_n, fragment_m, fragment_n, f)
+
+
+def induced_instance(g: JordanMap, frag: AbelianFragment) -> TheoremInstance:
+    """The instance g induces on frag: f pairs each member with its atomwise
+    image under g, which keeps the member's name."""
+    image = image_fragment(g, frag)
+    return theorem_instance(
+        g.source, g.target, frag, image, {name: name for name in frag.names()}
+    )
 
 
 @dataclass
@@ -245,24 +257,13 @@ def execute(instance: TheoremInstance) -> PipelineRun:
     run.reconstruction_candidates = candidates
 
     # Step F: spectral extension of each candidate over the fragment.
-    inputs = []
-    for name in t.fragment_m.names():
-        part = t.fragment_m.partitions[name]
-        if len(part.atoms) > 1:
-            inputs.append(
-                SpectralElement(
-                    tuple(
-                        (Fraction(i + 1), p) for i, p in enumerate(part.atoms)
-                    )
-                )
-            )
     # A verified OmlIso of projection OMLs is already a valid ProjMapFragment.
     for k in candidates:
         pairs = tuple(
             (by_label_m[x], by_label_n[k.apply(x)]) for x in lattice_m.elements
         )
         psi = ProjMapFragment(t.algebra_m, t.algebra_n, pairs)
-        run.jordan_maps.append(spectral_extend(psi, inputs))
+        run.jordan_maps.append(spectral_extend(psi, []))
     span_dim = run.jordan_maps[0].span_dimension() if run.jordan_maps else 0
     run.note(
         f"step F: spectral extension over {len(lattice_m)} fragment "
@@ -354,12 +355,13 @@ def verify_uniqueness(instance: TheoremInstance, F: JordanMap) -> Report:
                 f"{count} candidates: {witness}",
             )
         )
+    # the fragment projections: projection_oml adds 0 and 1, which every
+    # partition's projections hold already
     projections = [
-        AlgElement(p.algebra, p.blocks) for p in instance.fragment_m.projections()
+        AlgElement(p.algebra, p.blocks) for p in run.label_to_proj_m.values()
     ]
-    proj_span = [p.vec() for p in projections]
     span_dim = F.span_dimension()
-    proj_rank = rank([list(v) for v in proj_span])
+    proj_rank = rank([list(p.vec()) for p in projections])
     if proj_rank == span_dim:
         entries.append(ReportEntry("projections-span-domain", "PASS"))
     else:
@@ -452,9 +454,7 @@ def parse_instance_text(text: str, base_dir: Path) -> TheoremInstance:
                 )
             chosen[name] = partitions[side][name]
         try:
-            frags[side] = fragment(
-                algebras[side], chosen, require_coarsening_closed=True
-            )
+            frags[side] = fragment(algebras[side], chosen)
         except Exception as exc:
             raise InvalidInstance(f"fragment {side} invalid: {exc}")
     missing = set(frags["M"].names()) - set(fmap)

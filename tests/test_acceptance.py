@@ -11,8 +11,6 @@ from omljordan.jordan import (
     compose_maps,
     decompose_jordan,
     identity_map,
-    image_fragment,
-    induced_subalgebra_map,
     map_from_callable,
     transpose_map,
 )
@@ -30,7 +28,7 @@ from omljordan.matalg import (
 )
 from omljordan.oml import boolean_subalgebras, standard, subalgebras
 from omljordan.pipeline import (
-    theorem_instance,
+    induced_instance,
     run_pipeline,
     verify_claims,
     verify_uniqueness,
@@ -215,10 +213,7 @@ def test_criterion_5_sachs_property():
 
 def _round_trip_case(algebra, g):
     frag = diag_plus_rotated_fragment(algebra)
-    iso = induced_subalgebra_map(g, frag)
-    instance = theorem_instance(
-        algebra, algebra, frag, image_fragment(g, frag), dict(iso.mapping)
-    )
+    instance = induced_instance(g, frag)
     F = run_pipeline(instance)
     agree = all(
         F.apply(AlgElement(p.algebra, p.blocks))
@@ -327,11 +322,7 @@ def test_criterion_8_type_i2_failure(tmp_path, capsys):
             "rot": rotated_partition(algebra, u),
         },
     )
-    ident = identity_map(algebra)
-    iso = induced_subalgebra_map(ident, frag)
-    instance = theorem_instance(
-        algebra, algebra, frag, image_fragment(ident, frag), dict(iso.mapping)
-    )
+    instance = induced_instance(identity_map(algebra), frag)
     path = write_instance_files(tmp_path, "i2", instance)
     code = main(["pipeline", str(path)])
     out = capsys.readouterr().out

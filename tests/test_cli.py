@@ -3,7 +3,7 @@ import json
 import pytest
 
 from omljordan.cli import main
-from omljordan.jordan import identity_map, image_fragment, induced_subalgebra_map
+from omljordan.jordan import identity_map
 from omljordan.matalg import FinDimAlgebra, coarsening_closure
 from omljordan.oml import (
     greechie_diagram,
@@ -11,7 +11,7 @@ from omljordan.oml import (
     serialize_oml,
     standard,
 )
-from omljordan.pipeline import theorem_instance, write_instance_files
+from omljordan.pipeline import induced_instance, write_instance_files
 from omljordan.reconstruct import identity_bsub_iso, serialize_bsub_iso
 
 from .conftest import (
@@ -159,11 +159,7 @@ def _write_counterexample(tmp_path):
             "rot": rotated_partition(algebra, u),
         },
     )
-    ident = identity_map(algebra)
-    iso = induced_subalgebra_map(ident, frag)
-    instance = theorem_instance(
-        algebra, algebra, frag, image_fragment(ident, frag), dict(iso.mapping)
-    )
+    instance = induced_instance(identity_map(algebra), frag)
     return write_instance_files(tmp_path, "i2", instance)
 
 
@@ -182,11 +178,7 @@ def test_pipeline_happy_path_exit_zero(tmp_path, m3, capsys):
 
     u = rotation_unitary(m3)
     g = ad_unitary(m3, u)
-    frag = diag_plus_rotated_fragment(m3)
-    iso = induced_subalgebra_map(g, frag)
-    instance = theorem_instance(
-        m3, m3, frag, image_fragment(g, frag), dict(iso.mapping)
-    )
+    instance = induced_instance(g, diag_plus_rotated_fragment(m3))
     path = write_instance_files(tmp_path, "rot", instance)
     assert main(["pipeline", str(path)]) == 0
     out = capsys.readouterr().out
@@ -206,6 +198,29 @@ def test_pipeline_missing_file(tmp_path):
     broken = tmp_path / "broken.instance"
     broken.write_text("algebra M missing.alg\n")
     assert main(["pipeline", str(broken)]) == 2
+
+
+def test_pipeline_unclosed_fragment_exit_two(tmp_path, m3, capsys):
+    from omljordan.matalg import serialize_algebra, trivial_partition
+
+    (tmp_path / "m3.alg").write_text(
+        serialize_algebra(
+            m3, {"trivial": trivial_partition(m3), "diag": diagonal_partition(m3)}
+        )
+    )
+    path = tmp_path / "unclosed.instance"
+    path.write_text(
+        "algebra M m3.alg\nalgebra N m3.alg\n"
+        "fragment M trivial diag\nfragment N trivial diag\n"
+        "fmap trivial trivial\nfmap diag diag\n"
+    )
+    assert main(["pipeline", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "invalid instance: fragment M invalid: fragment is not "
+        "coarsening-closed: a merge of 'diag' is missing\n"
+    )
 
 
 def test_bell_check(capsys):

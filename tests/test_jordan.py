@@ -13,7 +13,6 @@ from omljordan.jordan import (
     decompose_jordan,
     identity_map,
     image_fragment,
-    induced_subalgebra_map,
     jordan_map,
     map_from_callable,
     proj_map_fragment,
@@ -30,6 +29,7 @@ from omljordan.matalg import (
     partition_of_unity,
     spectral_decomposition,
 )
+from omljordan.pipeline import induced_instance
 
 from .conftest import (
     diag_plus_rotated_fragment,
@@ -296,7 +296,7 @@ def test_decompose_rejects_non_jordan(m3):
 
 def test_induced_map_identity(m3):
     frag = diag_plus_rotated_fragment(m3)
-    iso = induced_subalgebra_map(identity_map(m3), frag)
+    iso = induced_instance(identity_map(m3), frag).f
     assert all(iso.apply(name) == name for name in frag.names())
 
 
@@ -304,7 +304,7 @@ def test_induced_map_permutation_is_pi3_automorphism(m3):
     perm = m3.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     g = ad_unitary(m3, perm)
     frag = coarsening_closure(m3, {"diag": diagonal_partition(m3)})
-    iso = induced_subalgebra_map(g, frag)
+    iso = induced_instance(g, frag).f
     # the image fragment poset is order-isomorphic to Pi_3 again
     assert len(iso.target) == 5
     for a in iso.source.elements:
@@ -317,7 +317,7 @@ def test_induced_map_permutation_is_pi3_automorphism(m3):
 def test_induced_map_transpose(m3):
     g = transpose_map(m3)
     frag = diag_plus_rotated_fragment(m3)
-    iso = induced_subalgebra_map(g, frag)
+    iso = induced_instance(g, frag).f
     assert sorted(iso.mapping.keys()) == sorted(frag.names())
 
 

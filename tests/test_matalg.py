@@ -16,6 +16,7 @@ from omljordan.matalg import (
     ParentMismatch,
     SpectralElement,
     as_projection,
+    check_coarsening_closed,
     atoms_of_abelian_basis,
     coarsening_closure,
     coarsens,
@@ -280,17 +281,18 @@ def test_fragment_requires_trivial(m3):
 
 
 def test_fragment_closure_check(m3):
+    unclosed = fragment(
+        m3,
+        {
+            "trivial": trivial_partition(m3),
+            "diag": diagonal_partition(m3),
+        },
+    )
     with pytest.raises(InvalidFragment):
-        fragment(
-            m3,
-            {
-                "trivial": trivial_partition(m3),
-                "diag": diagonal_partition(m3),
-            },
-            require_coarsening_closed=True,
-        )
-    closed = coarsening_closure(m3, {"diag": diagonal_partition(m3)})
-    fragment(m3, dict(closed.partitions), require_coarsening_closed=True)
+        check_coarsening_closed(unclosed)
+    check_coarsening_closed(
+        coarsening_closure(m3, {"diag": diagonal_partition(m3)})
+    )
 
 
 def test_fragment_poset_matches_projection_inclusion(m3):
@@ -433,7 +435,7 @@ def test_fragment_closure_check_names_each_missing_merge(m31):
             match=r"^fragment is not coarsening-closed: a merge of "
             r"'(diag|rot)' is missing$",
         ):
-            fragment(m31, parts, require_coarsening_closed=True)
+            check_coarsening_closed(fragment(m31, parts))
 
 
 def test_is_type_i2_free():

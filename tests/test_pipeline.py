@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from omljordan.jordan import (
@@ -5,8 +7,6 @@ from omljordan.jordan import (
     ad_unitary,
     compose_maps,
     identity_map,
-    image_fragment,
-    induced_subalgebra_map,
     transpose_map,
 )
 from omljordan.matalg import (
@@ -14,6 +14,7 @@ from omljordan.matalg import (
     FinDimAlgebra,
     coarsening_closure,
     fragment,
+    fragment_poset,
     partition_of_unity,
     psi_project,
     trivial_partition,
@@ -24,6 +25,7 @@ from omljordan.pipeline import (
     InvalidInstance,
     TheoremInstance,
     execute,
+    induced_instance,
     parse_instance_text,
     run_pipeline,
     theorem_instance,
@@ -31,6 +33,7 @@ from omljordan.pipeline import (
     verify_uniqueness,
     write_instance_files,
 )
+from omljordan.poset import order_iso
 
 from .conftest import (
     diag_plus_rotated_fragment,
@@ -42,17 +45,7 @@ from .conftest import (
 
 def _round_trip_instance(algebra, g):
     frag = diag_plus_rotated_fragment(algebra)
-    iso = induced_subalgebra_map(g, frag)
-    return (
-        theorem_instance(
-            algebra,
-            algebra,
-            frag,
-            image_fragment(g, frag),
-            dict(iso.mapping),
-        ),
-        frag,
-    )
+    return induced_instance(g, frag), frag
 
 
 def _maps_agree_on_fragment(F, g, frag):
@@ -73,11 +66,7 @@ def _counterexample_instance():
             "rot": rotated_partition(algebra, u),
         },
     )
-    ident = identity_map(algebra)
-    iso = induced_subalgebra_map(ident, frag)
-    return theorem_instance(
-        algebra, algebra, frag, image_fragment(ident, frag), dict(iso.mapping)
-    )
+    return induced_instance(identity_map(algebra), frag)
 
 
 def test_round_trip_permutation(m3):
@@ -137,17 +126,9 @@ def test_pipeline_output_independent_of_names(m3):
         new = "trivial" if frag.partitions[name].is_trivial() else f"z{i}"
         renamed[new] = frag.partitions[name]
         mapping[name] = new
-    frag2 = fragment(m3, renamed, require_coarsening_closed=True)
-    iso1 = induced_subalgebra_map(g, frag)
-    iso2 = induced_subalgebra_map(g, frag2)
-    inst1 = theorem_instance(
-        m3, m3, frag, image_fragment(g, frag), dict(iso1.mapping)
-    )
-    inst2 = theorem_instance(
-        m3, m3, frag2, image_fragment(g, frag2), dict(iso2.mapping)
-    )
-    f1 = run_pipeline(inst1)
-    f2 = run_pipeline(inst2)
+    frag2 = fragment(m3, renamed)
+    f1 = run_pipeline(induced_instance(g, frag))
+    f2 = run_pipeline(induced_instance(g, frag2))
     assert f1.agrees_with(f2)
 
 
@@ -187,9 +168,10 @@ def test_insufficient_fragment_single_maximal_partition(m31):
             "diag": diagonal_partition(m31),
         },
     )
-    instance = TheoremInstance(
-        m31, m31, frag, frag, induced_subalgebra_map(identity_map(m31), frag)
-    )
+    # frag is not coarsening-closed, so theorem_instance would refuse it
+    poset = fragment_poset(frag)
+    f = order_iso(poset, poset, {name: name for name in frag.names()})
+    instance = TheoremInstance(m31, m31, frag, frag, f)
     with pytest.raises(InsufficientFragment):
         execute(instance)
 
@@ -203,12 +185,7 @@ def test_small_fragment_two_atom_partition_is_ambiguous(m31):
         ],
     )
     frag = coarsening_closure(m31, {"half": half})
-    ident = identity_map(m31)
-    iso = induced_subalgebra_map(ident, frag)
-    instance = theorem_instance(
-        m31, m31, frag, image_fragment(ident, frag), dict(iso.mapping)
-    )
-    run = execute(instance)
+    run = execute(induced_instance(identity_map(m31), frag))
     # generated OML is a 4-element Boolean algebra: one 4-element block
     assert len(run.lattice_m) == 4
     assert len(run.reconstruction_candidates) == 2
@@ -216,11 +193,7 @@ def test_small_fragment_two_atom_partition_is_ambiguous(m31):
 
 def test_trivial_fragment_passes_vacuously(m3):
     frag = fragment(m3, {"trivial": trivial_partition(m3)})
-    ident = identity_map(m3)
-    iso = induced_subalgebra_map(ident, frag)
-    instance = theorem_instance(
-        m3, m3, frag, image_fragment(ident, frag), dict(iso.mapping)
-    )
+    instance = induced_instance(identity_map(m3), frag)
     F = run_pipeline(instance)
     assert verify_claims(instance, F).passed
     assert verify_uniqueness(instance, F).passed
@@ -281,35 +254,79 @@ def test_instance_file_round_trip(tmp_path, m3):
     assert _maps_agree_on_fragment(F, g, frag)
 
 
+def test_instance_validation_rejects_member_with_too_many_merges(monkeypatch):
+    """A 12-atom member has Bell(12) merges, far more than the two members
+    of its fragment: the closure check rejects it without building them or
+    its 2^12 subset sums."""
+    from omljordan import matalg
+
+    summed = []
+    subset_sums = matalg._subset_sums
+
+    def recorded(partition):
+        summed.append(len(partition))
+        return subset_sums(partition)
+
+    monkeypatch.setattr(matalg, "_subset_sums", recorded)
+    algebra = FinDimAlgebra((12,))
+    frag = fragment(
+        algebra,
+        {
+            "trivial": trivial_partition(algebra),
+            "diag": diagonal_partition(algebra),
+        },
+    )
+    start = time.perf_counter()
+    with pytest.raises(
+        InvalidInstance,
+        match=r"^fragment M invalid: fragment is not coarsening-closed: "
+        r"a merge of 'diag' is missing$",
+    ):
+        theorem_instance(
+            algebra, algebra, frag, frag, {"trivial": "trivial", "diag": "diag"}
+        )
+    assert time.perf_counter() - start < 1.0
+    assert 12 not in summed
+
+
 def test_chain_runs_once_per_instance(tmp_path, m3, monkeypatch):
-    """run_pipeline and both reports share one execute, which reuses the
-    fragment poset f was validated on; the CLI verb runs the chain once."""
+    """One induced_instance round trip builds the image fragment once, each
+    fragment poset once and proves each fragment closed once, and
+    run_pipeline and both reports share one execute; the CLI verb runs the
+    chain once and proves closure once per fragment."""
     from omljordan import cli, jordan, matalg, pipeline
 
-    calls = {"execute": 0, "fragment_poset": 0}
+    counted = ("execute", "fragment_poset", "check_coarsening_closed", "image_fragment")
+    calls = dict.fromkeys(counted, 0)
 
-    def counted(name, fn):
+    def wrap(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(pipeline, "execute", counted("execute", pipeline.execute))
-    poset_wrapper = counted("fragment_poset", matalg.fragment_poset)
-    for module in (matalg, jordan, pipeline):
-        monkeypatch.setattr(module, "fragment_poset", poset_wrapper)
+    for name in counted:
+        modules = [m for m in (matalg, jordan, pipeline) if hasattr(m, name)]
+        wrapper = wrap(name, getattr(modules[0], name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
 
+    frag = diag_plus_rotated_fragment(m3)
     g = ad_unitary(m3, rotation_unitary(m3))
-    instance, _ = _round_trip_instance(m3, g)
-    assert calls["fragment_poset"] > 0
-    calls["fragment_poset"] = 0
+    instance = induced_instance(g, frag)
     F = run_pipeline(instance)
     assert verify_claims(instance, F).passed
     assert verify_uniqueness(instance, F).passed
-    assert calls == {"execute": 1, "fragment_poset": 0}
+    assert calls == {
+        "execute": 1,
+        "fragment_poset": 2,
+        "check_coarsening_closed": 2,
+        "image_fragment": 1,
+    }
 
     path = write_instance_files(tmp_path, "rot", instance)
-    calls["execute"] = 0
+    calls.update(dict.fromkeys(counted, 0))
     assert cli.main(["pipeline", str(path)]) == 0
     assert calls["execute"] == 1
+    assert calls["check_coarsening_closed"] == 2
