@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from . import oml as omlmod
 from .combinat import bell_number, set_partitions
@@ -272,12 +273,28 @@ def proj_leq(p: Projection, q: Projection) -> bool:
     return _trace_of_product(p, q) == trace_p
 
 
+class ProjectionAlgebra(NamedTuple):
+    """A partition's Boolean algebra of projections: the subset sums of its
+    atoms and their sort keys, both indexed by bitmask, and the key set."""
+
+    projections: list[Projection]
+    keys: list[tuple]
+    key_set: frozenset
+
+
 @dataclass(frozen=True, eq=False)
 class PartitionOfUnity:
-    """Nonzero pairwise-orthogonal projections summing to the identity."""
+    """Nonzero pairwise-orthogonal projections summing to the identity; its
+    projection algebra is built once, on first use."""
 
     algebra: FinDimAlgebra
     atoms: tuple[Projection, ...]
+
+    @cached_property
+    def projection_algebra(self) -> ProjectionAlgebra:
+        projections = [_trusted_projection(s) for s in _subset_sums(self)]
+        keys = [p.sort_key() for p in projections]
+        return ProjectionAlgebra(projections, keys, frozenset(keys))
 
     def key(self):
         return tuple(sorted(a.sort_key() for a in self.atoms))
@@ -331,17 +348,12 @@ def _subset_sums(partition: PartitionOfUnity) -> list[AlgElement]:
     return sums
 
 
-def _projection_keys(partition: PartitionOfUnity) -> frozenset:
-    """Sort keys of the partition's Boolean algebra of projections."""
-    return frozenset(s.sort_key() for s in _subset_sums(partition))
-
-
 def coarsens(p: PartitionOfUnity, q: PartitionOfUnity) -> bool:
     """True iff every atom of p is an exact sum of atoms of q (so p's algebra
     is included in q's): every atom key of p is a subset-sum key of q."""
     if p.algebra != q.algebra:
         raise ParentMismatch("partitions of different algebras")
-    keys = _projection_keys(q)
+    keys = q.projection_algebra.key_set
     return all(atom.sort_key() in keys for atom in p.atoms)
 
 
@@ -549,7 +561,8 @@ def psi_project(
     source: Union[PartitionOfUnity, Sequence[AlgElement]],
 ) -> list[Projection]:
     """All projections of a finite abelian subalgebra: the subset sums of its
-    atoms (2^k of them), sorted canonically.
+    atoms (2^k of them), sorted canonically; a new list over the partition's
+    cached projection algebra.
 
     Accepts either a partition of unity or a pairwise-commuting basis; in
     the basis case the generated unital *-algebra is split into atoms by
@@ -559,9 +572,7 @@ def psi_project(
         partition = source
     else:
         partition = atoms_of_abelian_basis(source)
-    out = [_trusted_projection(s) for s in _subset_sums(partition)]
-    out.sort(key=lambda p: p.sort_key())
-    return out
+    return sorted(partition.projection_algebra.projections, key=AlgElement.sort_key)
 
 
 def atoms_of_abelian_basis(basis: Sequence[AlgElement]) -> PartitionOfUnity:
@@ -611,17 +622,16 @@ class AbelianFragment:
         """Union of the Boolean projection algebras of all partitions."""
         seen: dict[tuple, Projection] = {}
         for part in self.partitions.values():
-            for p in psi_project(part):
-                seen.setdefault(p.sort_key(), p)
+            table = part.projection_algebra
+            seen.update(zip(table.keys, table.projections))
         return [seen[k] for k in sorted(seen)]
 
 
 def _merges(p: PartitionOfUnity):
     """Every merge of p's atoms, in set_partitions order, as its partition
-    key and its cells' atom sums.  The sums are looked up by bitmask, so no
-    merge is re-validated: merged cells of a partition of unity form one."""
-    sums = _subset_sums(p)
-    keys = [s.sort_key() for s in sums]
+    key and its cells' atom sums, looked up by bitmask in p's projection
+    algebra; no merge is re-validated: merged cells of a partition form one."""
+    sums, keys, _ = p.projection_algebra
     for cells in set_partitions(range(len(p.atoms))):
         masks = [sum(1 << i for i in cell) for cell in cells]
         yield tuple(sorted(keys[m] for m in masks)), [sums[m] for m in masks]
@@ -660,37 +670,34 @@ def check_coarsening_closed(frag: AbelianFragment) -> None:
 def coarsening_closure(
     algebra: FinDimAlgebra, named: Mapping[str, PartitionOfUnity]
 ) -> AbelianFragment:
-    """Close a named family under all atom merges; generated partitions get
-    deterministic names m0, m1, ... and the trivial partition is named
-    'trivial' unless already present under another name."""
-    parts: dict[tuple, PartitionOfUnity] = {}
-    names: dict[tuple, str] = {}
-    for name, p in named.items():
-        parts[p.key()] = p
-        names[p.key()] = name
+    """Close a named family under all atom merges.  Generated partitions are
+    named m0, m1, ... in key order, skipping given names; the trivial one is
+    named 'trivial' unless already present under another name."""
+    if "trivial" in named and not named["trivial"].is_trivial():
+        raise InvalidFragment("a non-trivial partition is named 'trivial'")
+    given = {p.key() for p in named.values()}
     generated: dict[tuple, PartitionOfUnity] = {}
-    for p in list(parts.values()):
+    for p in named.values():
         for key, cell_sums in _merges(p):
-            if key not in parts and key not in generated:
-                generated[key] = PartitionOfUnity(
-                    p.algebra, tuple(_trusted_projection(c) for c in cell_sums)
-                )
+            if key not in given and key not in generated:
+                generated[key] = PartitionOfUnity(p.algebra, tuple(cell_sums))
     triv = trivial_partition(algebra)
-    if triv.key() not in parts and triv.key() not in generated:
+    if triv.key() not in given and triv.key() not in generated:
         generated[triv.key()] = triv
-    for i, key in enumerate(sorted(generated)):
+    parts = dict(named)
+    fresh = (f"m{i}" for i in itertools.count() if f"m{i}" not in named)
+    for key, name in zip(sorted(generated), fresh):
         p = generated[key]
-        names[key] = "trivial" if p.is_trivial() else f"m{i}"
-        parts[key] = p
+        parts["trivial" if p.is_trivial() else name] = p
     # closed by construction: a merge of a merge of p is a merge of p
-    return fragment(algebra, {names[k]: parts[k] for k in parts})
+    return fragment(algebra, parts)
 
 
 def fragment_poset(frag: AbelianFragment) -> Poset:
     """Inclusion order on the fragment: P <= Q iff P coarsens Q, that is iff
     Proj(P) is a subset of Proj(Q)."""
     names = frag.names()
-    projs = {name: _projection_keys(frag.partitions[name]) for name in names}
+    projs = {name: frag.partitions[name].projection_algebra.key_set for name in names}
     pairs = [
         (a, b) for a in names for b in names if a != b and projs[a] <= projs[b]
     ]

@@ -33,7 +33,8 @@ from .matalg import (
     AbelianFragment,
     AlgElement,
     FinDimAlgebra,
-    PartitionOfUnity,
+    InvalidPartition,
+    NotProjection,
     Projection,
     check_coarsening_closed,
     fragment,
@@ -42,7 +43,6 @@ from .matalg import (
     parse_algebra_text,
     partition_of_unity,
     projection_oml,
-    psi_project,
     serialize_algebra,
     spans_equal,
 )
@@ -161,13 +161,6 @@ class PipelineRun:
         log.info(message)
 
 
-def _subalgebra_label_of_partition(
-    part: PartitionOfUnity, proj_to_label: dict[tuple, str]
-) -> str:
-    members = {proj_to_label[p.sort_key()] for p in psi_project(part)}
-    return subalgebra_label(members)
-
-
 def execute(instance: TheoremInstance) -> PipelineRun:
     """Run the reconstruction chain; never raises on ambiguity (run_pipeline does)."""
     run = PipelineRun(instance)
@@ -205,12 +198,10 @@ def execute(instance: TheoremInstance) -> PipelineRun:
     bsub_n = boolean_subalgebras(lattice_n)
     h_mapping: dict[str, str] = {}
     for name in t.fragment_m.names():
-        src = _subalgebra_label_of_partition(
-            t.fragment_m.partitions[name], proj_to_label_m
-        )
-        dst = _subalgebra_label_of_partition(
-            t.fragment_n.partitions[g.apply(name)], proj_to_label_n
-        )
+        keys_m = t.fragment_m.partitions[name].projection_algebra.key_set
+        keys_n = t.fragment_n.partitions[g.apply(name)].projection_algebra.key_set
+        src = subalgebra_label(proj_to_label_m[k] for k in keys_m)
+        dst = subalgebra_label(proj_to_label_n[k] for k in keys_n)
         if src in h_mapping and h_mapping[src] != dst:
             raise InvalidInstance(
                 f"two fragment members with the same projection algebra map "
@@ -296,19 +287,15 @@ def verify_claims(instance: TheoremInstance, F: JordanMap) -> Report:
     entries: list[ReportEntry] = []
     # Members share projections: F is applied once per distinct projection.
     images: dict[tuple, AlgElement] = {}
-
-    def image(p: Projection) -> AlgElement:
-        key = p.sort_key()
-        if key not in images:
-            images[key] = F.apply(AlgElement(p.algebra, p.blocks))
-        return images[key]
-
     for name in t.fragment_m.names():
         part = t.fragment_m.partitions[name]
         image_part = t.fragment_n.partitions[t.f.apply(name)]
-        f_projs = {p.sort_key() for p in psi_project(image_part)}
-        mapped_keys = {image(p).sort_key() for p in psi_project(part)}
-        if mapped_keys == f_projs:
+        projs, keys, _ = part.projection_algebra
+        for key, p in zip(keys, projs):
+            if key not in images:
+                images[key] = F.apply(p)
+        mapped_keys = {images[key].sort_key() for key in keys}
+        if mapped_keys == image_part.projection_algebra.key_set:
             entries.append(ReportEntry(f"claim1[{name}]", "PASS"))
         else:
             entries.append(
@@ -318,7 +305,7 @@ def verify_claims(instance: TheoremInstance, F: JordanMap) -> Report:
                     "projection sets of f(S) and F[S] differ",
                 )
             )
-        atom_images = [image(p) for p in part.atoms]
+        atom_images = [images[keys[1 << i]] for i in range(len(part))]
         try:
             partition_of_unity(t.algebra_n, atom_images)
             entries.append(ReportEntry(f"claim2[{name}]", "PASS"))
@@ -441,9 +428,10 @@ def parse_instance_text(text: str, base_dir: Path) -> TheoremInstance:
     for side, path in algebra_paths.items():
         if not path.exists():
             raise ParseError(f"algebra file not found: {path}")
-        algebras[side], partitions[side] = parse_algebra_text(
-            path.read_text()
-        )
+        try:
+            algebras[side], partitions[side] = parse_algebra_text(path.read_text())
+        except (InvalidPartition, NotProjection) as exc:
+            raise InvalidInstance(f"algebra {side} invalid: {exc}")
     frags = {}
     for side in ("M", "N"):
         chosen = {}

@@ -223,6 +223,31 @@ def test_pipeline_unclosed_fragment_exit_two(tmp_path, m3, capsys):
     )
 
 
+def test_pipeline_non_projection_atom_exit_two(tmp_path, m3, capsys):
+    """An atom that is not a projection makes the instance invalid for the
+    pipeline verb (exit 2, one stderr line) and stays an invariant failure
+    for the verify verb (exit 1)."""
+    from omljordan.matalg import serialize_algebra, trivial_partition
+
+    text = serialize_algebra(m3, {"trivial": trivial_partition(m3)})
+    algebra_path = tmp_path / "m3.alg"
+    algebra_path.write_text(text.replace("atom 1, 0, 0", "atom 2, 0, 0"))
+    path = tmp_path / "bad.instance"
+    path.write_text(
+        "algebra M m3.alg\nalgebra N m3.alg\n"
+        "fragment M trivial\nfragment N trivial\nfmap trivial trivial\n"
+    )
+    assert main(["pipeline", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "invalid instance: algebra M invalid: not a projection: "
+    )
+    assert captured.err.count("\n") == 1
+    assert main(["verify", str(algebra_path)]) == 1
+    assert "invariant failure: NotProjection" in capsys.readouterr().out
+
+
 def test_bell_check(capsys):
     assert main(["bell-check", "--max-atoms", "4"]) == 0
     out = capsys.readouterr().out

@@ -295,6 +295,25 @@ def test_fragment_closure_check(m3):
     )
 
 
+def test_coarsening_closure_keeps_given_name_that_a_generated_one_would_take(m3):
+    """Generated names skip given ones, so no given partition is dropped;
+    without a clash the names stay m0, m1, ... in key order."""
+    diag = diagonal_partition(m3)
+    plain = coarsening_closure(m3, {"diag": diag})
+    assert plain.names() == ("diag", "m0", "m1", "m2", "trivial")
+    clash = coarsening_closure(m3, {"m0": diag})
+    assert clash.partitions["m0"] is diag
+    assert len(clash) == 5  # Bell(3)
+    check_coarsening_closed(clash)
+    for name, moved in (("m0", "m1"), ("m1", "m2"), ("m2", "m3")):
+        assert plain.partitions[name] == clash.partitions[moved]
+
+
+def test_coarsening_closure_rejects_nontrivial_partition_named_trivial(m3):
+    with pytest.raises(InvalidFragment, match="named 'trivial'"):
+        coarsening_closure(m3, {"trivial": diagonal_partition(m3)})
+
+
 def test_fragment_poset_matches_projection_inclusion(m3):
     """The fragment poset matches the inclusion poset of the Boolean
     projection algebras, elementwise through psi."""

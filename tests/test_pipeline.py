@@ -291,12 +291,19 @@ def test_instance_validation_rejects_member_with_too_many_merges(monkeypatch):
 
 def test_chain_runs_once_per_instance(tmp_path, m3, monkeypatch):
     """One induced_instance round trip builds the image fragment once, each
-    fragment poset once and proves each fragment closed once, and
-    run_pipeline and both reports share one execute; the CLI verb runs the
-    chain once and proves closure once per fragment."""
+    fragment poset once, proves each fragment closed once and builds each
+    partition's subset sums once, and run_pipeline and both reports share
+    one execute; the CLI verb runs the chain once, proves closure once per
+    fragment and builds each parsed partition's subset sums once."""
     from omljordan import cli, jordan, matalg, pipeline
 
-    counted = ("execute", "fragment_poset", "check_coarsening_closed", "image_fragment")
+    counted = (
+        "execute",
+        "fragment_poset",
+        "check_coarsening_closed",
+        "image_fragment",
+        "_subset_sums",
+    )
     calls = dict.fromkeys(counted, 0)
 
     def wrap(name, fn):
@@ -318,11 +325,13 @@ def test_chain_runs_once_per_instance(tmp_path, m3, monkeypatch):
     F = run_pipeline(instance)
     assert verify_claims(instance, F).passed
     assert verify_uniqueness(instance, F).passed
+    partitions = len(instance.fragment_m) + len(instance.fragment_n)
     assert calls == {
         "execute": 1,
         "fragment_poset": 2,
         "check_coarsening_closed": 2,
         "image_fragment": 1,
+        "_subset_sums": partitions,
     }
 
     path = write_instance_files(tmp_path, "rot", instance)
@@ -330,3 +339,4 @@ def test_chain_runs_once_per_instance(tmp_path, m3, monkeypatch):
     assert cli.main(["pipeline", str(path)]) == 0
     assert calls["execute"] == 1
     assert calls["check_coarsening_closed"] == 2
+    assert calls["_subset_sums"] == partitions
