@@ -778,9 +778,9 @@ def parse_algebra_text(text: str) -> tuple[FinDimAlgebra, dict[str, PartitionOfU
                 raise ParseError(f"line {lineno}: summands must be a bracketed list")
             try:
                 dims = tuple(int(tok) for tok in body[1:-1].split(",") if tok.strip())
+                algebra = FinDimAlgebra(dims)
             except ValueError:
                 raise ParseError(f"line {lineno}: bad summand dimensions")
-            algebra = FinDimAlgebra(dims)
         elif line.startswith("partition "):
             if algebra is None:
                 raise ParseError(f"line {lineno}: partition before summands")

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Sequence
 
 from .poset import (
     InvalidIdentifier,
     ParseError,
     Poset,
+    image_mask,
     verify_poset,
 )
 
@@ -87,10 +88,7 @@ class Oml:
         return self.ortho[x]
 
     def join_of(self, xs: Iterable[str]) -> str:
-        out = self.bottom
-        for x in xs:
-            out = self.join(out, x)
-        return out
+        return reduce(self.join, xs, self.bottom)
 
     def atoms(self) -> tuple[str, ...]:
         return tuple(
@@ -98,9 +96,6 @@ class Oml:
             for x in self.elements
             if x != self.bottom and self.order.covers(self.bottom, x)
         )
-
-    def orthogonal(self, x: str, y: str) -> bool:
-        return self.leq(x, self.ortho[y])
 
     def __len__(self) -> int:
         return len(self.order)
@@ -112,19 +107,26 @@ class Oml:
     def _subalgebras(self) -> dict[str, BooleanSubalgebra]:
         """See subalgebras(); keyed by label, in (size, label) order."""
         nonzero = [x for x in self.elements if x != self.bottom]
+        bit, down = self.order._bit, self.order._down
         found: dict[frozenset[str], BooleanSubalgebra] = {}
 
-        def extend(parts: list[str], joined: str, start: int) -> None:
+        # orthogonal: the elements orthogonal to every part, as a bitset.
+        def extend(parts: list[str], joined: str, start: int, orthogonal: int) -> None:
             if joined == self.top:
                 sub = _subalgebra_from_partition(self, parts)
                 found.setdefault(sub.members, sub)
                 return
             for i in range(start, len(nonzero)):
                 x = nonzero[i]
-                if all(self.orthogonal(x, p) for p in parts):
-                    extend(parts + [x], self.join(joined, x), i + 1)
+                if orthogonal & bit[x]:
+                    extend(
+                        parts + [x],
+                        self.join(joined, x),
+                        i + 1,
+                        orthogonal & down[self.ortho[x]],
+                    )
 
-        extend([], self.bottom, 0)
+        extend([], self.bottom, 0, (1 << len(self)) - 1)
         subs = sorted(found.values(), key=lambda s: (len(s.members), s.label()))
         return {s.label(): s for s in subs}
 
@@ -152,44 +154,40 @@ def verify_oml(order: Poset, ortho: Mapping[str, str]) -> Oml:
             )
     meets: dict[tuple[str, str], str] = {}
     joins: dict[tuple[str, str], str] = {}
+    up, down = order._up, order._down
     for x in order.elements:
+        up_x, down_x = up[x], down[x]
         for y in order.elements:
-            m = order.meet(x, y)
+            m = order._by_down.get(down_x & down[y])
             if m is None:
                 raise NotLattice(f"no meet for ({x}, {y})")
-            j = order.join(x, y)
+            j = order._by_up.get(up_x & up[y])
             if j is None:
                 raise NotLattice(f"no join for ({x}, {y})")
             meets[(x, y)] = m
             joins[(x, y)] = j
-    bottom = order.bottom()
-    top = order.top()
+    bottom, top = order.bottom(), order.top()
     if bottom is None or top is None:
         raise NotLattice("missing bottom or top")
     if set(ortho.keys()) != set(order.elements):
         raise OrthoNotInvolutive("ortho map domain is not the element set")
     for x in order.elements:
-        if ortho[x] not in set(order.elements):
+        if ortho[x] not in order._bit:
             raise OrthoNotInvolutive(f"ortho({x}) is not an element")
         if ortho[ortho[x]] != x:
             raise OrthoNotInvolutive(f"ortho is not involutive at {x}")
+    ortho_bits = [order._bit[ortho[x]] for x in order.elements]
     for x in order.elements:
-        for y in order.elements:
-            if order.leq(x, y) and not order.leq(ortho[y], ortho[x]):
-                raise OrthoNotInvolutive(
-                    f"ortho is not order-reversing at ({x}, {y})"
-                )
+        if image_mask(up[x], ortho_bits) & ~down[ortho[x]]:
+            y = next(y for y in order.upset(x) if not order.leq(ortho[y], ortho[x]))
+            raise OrthoNotInvolutive(f"ortho is not order-reversing at ({x}, {y})")
     for x in order.elements:
         if meets[(x, ortho[x])] != bottom or joins[(x, ortho[x])] != top:
             raise ComplementationFails(f"{x} and {ortho[x]} are not complements")
     for x in order.elements:
-        for y in order.elements:
-            if order.leq(x, y):
-                rebuilt = joins[(x, meets[(y, ortho[x])])]
-                if rebuilt != y:
-                    raise OrthomodularityFails(
-                        f"x={x}, y={y}: y != x v (y ^ x')"
-                    )
+        for y in order.upset(x):
+            if joins[(x, meets[(y, ortho[x])])] != y:
+                raise OrthomodularityFails(f"x={x}, y={y}: y != x v (y ^ x')")
     return Oml(order, dict(ortho), bottom, top, meets, joins)
 
 

@@ -6,7 +6,9 @@ relation stored in a Poset is always the full reflexive-transitive closure.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -52,77 +54,89 @@ class ParseError(Exception):
     """A text-format file does not parse."""
 
 
-_EMPTY: frozenset[str] = frozenset()
-
-
 @dataclass(frozen=True)
 class Poset:
     """A finite partial order: element tuple plus the full <= relation.
 
-    Construction also builds each element's up-set and down-set from the
-    relation; every order query reads those sets.
+    Construction gives element i the bit 1 << i and builds each element's
+    up-mask and down-mask (int bitsets), plus one dict per direction from
+    mask back to element.  Every order query reads the masks: leq is one bit
+    test; a join or meet is an AND of masks and one lookup.  Elements not in
+    the poset read as incomparable to everything.
     """
 
     elements: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
-    _up: Mapping[str, frozenset[str]] = field(init=False, repr=False, compare=False)
-    _down: Mapping[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    _bit: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    _up: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    _down: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    _by_up: Mapping[int, str] = field(init=False, repr=False, compare=False)
+    _by_down: Mapping[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        up: dict[str, set[str]] = {x: set() for x in self.elements}
-        down: dict[str, set[str]] = {x: set() for x in self.elements}
+        bit = {x: 1 << i for i, x in enumerate(self.elements)}
+        up = dict.fromkeys(self.elements, 0)
+        down = dict.fromkeys(self.elements, 0)
         for x, y in self.relation:
-            up[x].add(y)
-            down[y].add(x)
-        object.__setattr__(self, "_up", {x: frozenset(s) for x, s in up.items()})
-        object.__setattr__(self, "_down", {x: frozenset(s) for x, s in down.items()})
+            up[x] |= bit[y]
+            down[y] |= bit[x]
+        object.__setattr__(self, "_bit", bit)
+        object.__setattr__(self, "_up", up)
+        object.__setattr__(self, "_down", down)
+        object.__setattr__(self, "_by_up", {m: x for x, m in up.items()})
+        object.__setattr__(self, "_by_down", {m: x for x, m in down.items()})
 
     def leq(self, x: str, y: str) -> bool:
-        return y in self._up.get(x, _EMPTY)
-
-    def lt(self, x: str, y: str) -> bool:
-        return x != y and self.leq(x, y)
+        return bool(self._up.get(x, 0) & self._bit.get(y, 0))
 
     def downset(self, x: str) -> tuple[str, ...]:
-        below = self._down.get(x, _EMPTY)
-        return tuple(z for z in self.elements if z in below)
+        return self.members(self._down.get(x, 0))
 
     def upset(self, x: str) -> tuple[str, ...]:
-        above = self._up.get(x, _EMPTY)
-        return tuple(z for z in self.elements if z in above)
+        return self.members(self._up.get(x, 0))
+
+    def members(self, mask: int) -> tuple[str, ...]:
+        """The elements whose bits are set in mask, in element order."""
+        return tuple(z for i, z in enumerate(self.elements) if mask >> i & 1)
+
+    def mask(self, xs: Iterable[str]) -> int:
+        """The bitset of the elements of xs (unknown ones are dropped)."""
+        return sum(self._bit.get(x, 0) for x in set(xs))
 
     def covers(self, x: str, y: str) -> bool:
-        """True iff y covers x (x < y with nothing strictly between)."""
-        return self.lt(x, y) and len(self._up[x] & self._down[y]) == 2
+        """True iff y covers x: the interval [x, y] is {x, y} with x != y."""
+        return (self._up.get(x, 0) & self._down.get(y, 0)).bit_count() == 2
 
     def cover_pairs(self) -> list[tuple[str, str]]:
         return sorted(
-            (x, y) for x in self.elements for y in self._up[x] if self.covers(x, y)
+            (x, y) for x in self.elements for y in self.upset(x) if self.covers(x, y)
         )
 
     def join(self, x: str, y: str) -> str | None:
-        return self.join_of((x, y))
+        return self._by_up.get(self._up.get(x, 0) & self._up.get(y, 0))
 
     def meet(self, x: str, y: str) -> str | None:
-        """Greatest lower bound: the z whose down-set is the intersection of
-        the down-sets of x and y."""
-        return _extremum(self._down, (x, y), self.elements)
+        """Greatest lower bound: the z whose down-mask is the AND of the
+        down-masks of x and y."""
+        return self._by_down.get(self._down.get(x, 0) & self._down.get(y, 0))
 
     def join_of(self, xs: Iterable[str]) -> str | None:
         """Least upper bound of a set; the empty set's join is the bottom.
 
-        It is the z whose up-set equals the intersection of the up-sets of xs.
+        It is the z whose up-mask is the AND of the up-masks of xs.
         """
-        return _extremum(self._up, xs, self.elements)
+        ups = (self._up.get(x, 0) for x in xs)
+        bounds = functools.reduce(operator.and_, ups, (1 << len(self)) - 1)
+        return self._by_up.get(bounds)
 
     def bottom(self) -> str | None:
         return self.join_of(())
 
     def top(self) -> str | None:
-        return _extremum(self._down, (), self.elements)
+        return self._by_down.get((1 << len(self.elements)) - 1)
 
     def maximal_elements(self) -> tuple[str, ...]:
-        return tuple(x for x in self.elements if len(self._up[x]) == 1)
+        return tuple(x for x in self.elements if self._up[x] == self._bit[x])
 
     def restrict(self, subset: Iterable[str]) -> "Poset":
         """Induced subposet on the given elements (kept in parent order)."""
@@ -138,19 +152,15 @@ class Poset:
         return len(self.elements)
 
 
-def _extremum(
-    sets: Mapping[str, frozenset[str]], xs: Iterable[str], elements: Sequence[str]
-) -> str | None:
-    """The z whose own set equals the intersection of the sets of xs (all
-    elements when xs is empty), or None: the least upper bound when sets are
-    up-sets, the greatest lower bound when they are down-sets."""
-    bounds = None
-    for x in xs:
-        s = sets.get(x, _EMPTY)
-        bounds = s if bounds is None else bounds & s
-    if bounds is None:
-        bounds = frozenset(elements)
-    return next((z for z in bounds if sets[z] == bounds), None)
+def image_mask(mask: int, bits: Sequence[int]) -> int:
+    """The OR of bits[i] over the set bits i of mask: a bitset carried
+    through a map given as one target bit per source index."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= bits[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def verify_poset(
@@ -239,21 +249,50 @@ def order_iso(source: Poset, target: Poset, mapping: Mapping[str, str]) -> Order
     values = list(mapping.values())
     if len(set(values)) != len(values) or set(values) != set(target.elements):
         raise NotOrderIso("mapping is not a bijection onto the target")
-    for x in source.elements:
-        for y in source.elements:
-            if source.leq(x, y) != target.leq(mapping[x], mapping[y]):
-                raise NotOrderIso(
-                    f"order not preserved at ({x}, {y}) -> "
-                    f"({mapping[x]}, {mapping[y]})"
-                )
+    failure = _order_mismatch(source, target, mapping)
+    if failure:
+        x, y = failure
+        raise NotOrderIso(
+            f"order not preserved at ({x}, {y}) -> ({mapping[x]}, {mapping[y]})"
+        )
     return OrderIso(source, target, dict(mapping))
 
 
-def _signature(p: Poset, x: str) -> tuple[int, int, int]:
-    degree = sum(p.covers(x, y) for y in p._up[x]) + sum(
-        p.covers(y, x) for y in p._down[x]
+def _order_mismatch(
+    source: Poset, target: Poset, f: Mapping[str, str]
+) -> tuple[str, str] | None:
+    """The first pair (x, y), in row-major order, where x <= y in source and
+    f[x] <= f[y] in target disagree, or None.  For an injective f there is
+    none iff each up-mask maps onto its image's up-mask within the image, so
+    the pairs are scanned only after a mismatch."""
+    xs = source.elements
+    bits = [target._bit[f[x]] for x in xs]
+    span = sum(bits)
+    if all(image_mask(source._up[x], bits) == target._up[f[x]] & span for x in xs):
+        return None
+    pairs = ((x, y) for x in xs for y in xs)
+    return next((x, y) for x, y in pairs if source.leq(x, y) != target.leq(f[x], f[y]))
+
+
+def extends_order_iso(
+    p: Poset, q: Poset, assigned: Iterable[tuple[str, str]], x: str, y: str
+) -> bool:
+    """Whether x -> y agrees with every assigned pair a -> b of a partial map
+    p -> q: a <= x iff b <= y, and x <= a iff y <= b."""
+    up_x, down_x, bit_p = p._up.get(x, 0), p._down.get(x, 0), p._bit
+    up_y, down_y, bit_q = q._up.get(y, 0), q._down.get(y, 0), q._bit
+    return all(
+        (not down_x & bit_p[a]) == (not down_y & bit_q[b])
+        and (not up_x & bit_p[a]) == (not up_y & bit_q[b])
+        for a, b in assigned
     )
-    return (len(p._down[x]), len(p._up[x]), degree)
+
+
+def _signature(p: Poset, x: str) -> tuple[int, int, int]:
+    degree = sum(p.covers(x, y) for y in p.upset(x)) + sum(
+        p.covers(y, x) for y in p.downset(x)
+    )
+    return (p._down[x].bit_count(), p._up[x].bit_count(), degree)
 
 
 def enumerate_order_isos(p: Poset, q: Poset) -> list[OrderIso]:
@@ -287,13 +326,7 @@ def enumerate_order_isos(p: Poset, q: Poset) -> list[OrderIso]:
             return
         x = order[i]
         for y in sig_q.get(sig_p[x], ()):
-            if y in used:
-                continue
-            ok = all(
-                p.leq(a, x) == q.leq(b, y) and p.leq(x, a) == q.leq(y, b)
-                for a, b in assignment.items()
-            )
-            if not ok:
+            if y in used or not extends_order_iso(p, q, assignment.items(), x, y):
                 continue
             assignment[x] = y
             used.add(y)
@@ -317,29 +350,33 @@ class Ideal:
 
 
 def is_ideal(p: Poset, members: Iterable[str]) -> bool:
+    """A downset (no member's down-mask leaves the members' mask) in which
+    every pair's join, an AND of up-masks and a lookup, is a member."""
     mem = frozenset(members)
-    if not p._down.keys() >= mem or any(not p._down[x] <= mem for x in mem):
+    mask = p.mask(mem)
+    if not p._bit.keys() >= mem or any(p._down[x] & ~mask for x in mem):
         return False
-    return all(p.join(x, y) in mem for x, y in itertools.combinations(mem, 2))
+    pairs = itertools.combinations([p._up[x] for x in mem], 2)
+    return mem.issuperset(map(p._by_up.get, itertools.starmap(operator.and_, pairs)))
 
 
 def ideals(p: Poset) -> list[Ideal]:
     """All ideals of p, enumerated over downsets (not raw subsets)."""
-    topo = sorted(p.elements, key=lambda x: (len(p._down[x]), x))
+    topo = sorted(p.elements, key=lambda x: (p._down[x].bit_count(), x))
     found: list[frozenset[str]] = []
 
-    def recurse(i: int, current: set[str], banned: set[str]) -> None:
+    def recurse(i: int, current: set[str], banned: int) -> None:
         if i == len(topo):
             found.append(frozenset(current))
             return
         x = topo[i]
         recurse(i + 1, current, banned | p._up[x])
-        if x not in banned:
+        if not banned & p._bit[x]:
             current.add(x)
             recurse(i + 1, current, banned)
             current.discard(x)
 
-    recurse(0, set(), set())
+    recurse(0, set(), 0)
     return sorted(
         (Ideal(p, mem) for mem in found if is_ideal(p, mem)),
         key=lambda ideal: (len(ideal.members), tuple(sorted(ideal.members))),
@@ -375,10 +412,10 @@ def extend_iso_via_ideals(mu: OrderIso, p: Poset, q: Poset) -> OrderIso:
 
 
 def _extend_one_way(mu: OrderIso, p: Poset, q: Poset) -> dict[str, str]:
-    finite = frozenset(mu.source.elements)
+    finite = p.mask(mu.source.elements)
     out: dict[str, str] = {}
     for x in p.elements:
-        below = p._down[x] & finite
+        below = p.members(p._down[x] & finite)
         if not is_ideal(mu.source, below):
             raise NotAnIdeal(
                 f"downset of {x} in the finite part is not an ideal"
@@ -398,12 +435,11 @@ def _expect_induced_subposet(sub: Poset, parent: Poset) -> None:
     missing = set(sub.elements) - set(parent.elements)
     if missing:
         raise NotSubposet(f"elements not in the parent poset: {sorted(missing)}")
-    for x in sub.elements:
-        for y in sub.elements:
-            if sub.leq(x, y) != parent.leq(x, y):
-                raise NotSubposet(
-                    f"induced order differs from parent at ({x}, {y})"
-                )
+    failure = _order_mismatch(sub, parent, {x: x for x in sub.elements})
+    if failure:
+        raise NotSubposet(
+            f"induced order differs from parent at ({failure[0]}, {failure[1]})"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .oml import (
     members_of_label,
     subalgebra_label,
 )
-from .poset import NotOrderIso, OrderIso, ParseError, order_iso
+from .poset import NotOrderIso, OrderIso, ParseError, extends_order_iso, order_iso
 
 
 class InconsistentLevels(Exception):
@@ -111,7 +111,7 @@ class OmlIso:
 def verify_oml_iso(source: Oml, target: Oml, mapping: Mapping[str, str]) -> OmlIso:
     order_iso(source.order, target.order, mapping)
     for x in source.elements:
-        if mapping[source.complement(x)] != target.complement(mapping[x]):
+        if mapping[source.ortho[x]] != target.ortho[mapping[x]]:
             raise NotOrderIso(f"ortho not preserved at {x}")
     if mapping[source.bottom] != target.bottom:
         raise NotOrderIso("bottom not preserved")
@@ -167,27 +167,25 @@ def reconstruct_oml_isos(iso: BsubIso) -> list[OmlIso]:
         targets.append((rest[0], rest[1]))
     # Defensive pair-level check on every subalgebra image.
     bsub_l = boolean_subalgebras(left)
-    pair_target = {p: t for p, t in zip(pairs, targets)}
-    pair_of = {}
-    for x, xc in pairs:
-        pair_of[x] = (x, xc)
-        pair_of[xc] = (x, xc)
-    for label in bsub_l.elements:
-        members = members_of_label(label)
+    pair_target = dict(zip(pairs, targets))
+    pair_of = {m: p for p in pairs for m in p}
+    # Each subalgebra's member set and its image under j, worked out once.
+    images = [
+        (members_of_label(label), iso.apply_members(members_of_label(label)))
+        for label in bsub_l.elements
+    ]
+    for label, (members, image) in zip(bsub_l.elements, images):
         expected = {right.bottom, right.top}
         for m in members:
             if m in pair_of:
                 expected.update(pair_target[pair_of[m]])
-        if frozenset(expected) != iso.apply_members(members):
+        if frozenset(expected) != image:
             raise InconsistentLevels(
                 f"subalgebra image of {label} is not the union of pair images"
             )
 
-    block_count = {p: 0 for p in pairs}
-    for blk in blocks(left):
-        for p in pairs:
-            if p[0] in blk.members:
-                block_count[p] += 1
+    left_blocks = blocks(left)
+    block_count = {p: sum(p[0] in b.members for b in left_blocks) for p in pairs}
     search_order = sorted(pairs, key=lambda p: (-block_count[p], p))
 
     solutions: list[dict[str, str]] = []
@@ -197,10 +195,7 @@ def reconstruct_oml_isos(iso: BsubIso) -> list[OmlIso]:
     }
 
     def consistent(x: str, y: str) -> bool:
-        return all(
-            left.leq(a, x) == right.leq(b, y) and left.leq(x, a) == right.leq(y, b)
-            for a, b in assignment.items()
-        )
+        return extends_order_iso(left.order, right.order, assignment.items(), x, y)
 
     def assign(i: int) -> None:
         if i == len(search_order):
@@ -225,9 +220,8 @@ def reconstruct_oml_isos(iso: BsubIso) -> list[OmlIso]:
         except NotOrderIso:
             continue
         if all(
-            iso.apply_members(members_of_label(label))
-            == frozenset(k.apply(x) for x in members_of_label(label))
-            for label in bsub_l.elements
+            image == frozenset(map(mapping.__getitem__, members))
+            for members, image in images
         ):
             result.append(k)
     if not result:

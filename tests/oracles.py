@@ -6,10 +6,10 @@ isomorphism enumeration from raw bijection filtering with local checks,
 blocks from maximal cliques of the commutation relation, the projection
 order, orthogonality and coarsening from exact matrix products (the package
 decides them by traces and subset-sum keys), poset joins, meets, covers and
-ideals from scans of the raw <= relation (the package reads up-sets and
-down-sets), and the reduced row echelon form by Gauss-Jordan elimination on
-GaussScalar fractions (the package eliminates fraction-free on Gaussian
-integers).
+ideals from scans of the raw <= relation (the package reads int up-masks
+and down-masks), and the reduced row echelon form by Gauss-Jordan
+elimination on GaussScalar fractions (the package eliminates fraction-free
+on Gaussian integers).
 """
 
 import itertools
@@ -125,7 +125,9 @@ def maximal_commuting_sets(lattice):
 
     Commutation is a = (a ^ b) v (a ^ b'), read from meet, join and
     complement alone; the maximal sets are the maximal cliques of that
-    relation, found by plain Bron-Kerbosch.
+    relation, found by Bron-Kerbosch with Tomita pivoting (branching only
+    on non-neighbours of a pivot keeps a Boolean algebra, where everything
+    commutes, from taking 2^|L| branches).
     """
 
     def commute(a, b):
@@ -145,7 +147,10 @@ def maximal_commuting_sets(lattice):
         if not candidates and not excluded:
             out.append(frozenset(clique))
             return
-        for v in sorted(candidates):
+        pivot = max(
+            sorted(candidates | excluded), key=lambda u: len(candidates & neighbours[u])
+        )
+        for v in sorted(candidates - neighbours[pivot]):
             expand(clique | {v}, candidates & neighbours[v], excluded & neighbours[v])
             candidates = candidates - {v}
             excluded = excluded | {v}

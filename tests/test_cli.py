@@ -200,6 +200,25 @@ def test_pipeline_missing_file(tmp_path):
     assert main(["pipeline", str(broken)]) == 2
 
 
+@pytest.mark.parametrize("summands", ["[0]", "[]"])
+def test_nonpositive_summands_are_parse_errors(tmp_path, capsys, summands):
+    """A zero or empty summand list is a parse error (exit 2, one stderr
+    line) for verify on the algebra file and for pipeline on an instance
+    that uses it."""
+    algebra_path = tmp_path / "bad.alg"
+    algebra_path.write_text(f"summands: {summands}\n")
+    path = tmp_path / "bad.instance"
+    path.write_text(
+        "algebra M bad.alg\nalgebra N bad.alg\n"
+        "fragment M trivial\nfragment N trivial\nfmap trivial trivial\n"
+    )
+    for verb, target in (("verify", algebra_path), ("pipeline", path)):
+        assert main([verb, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: line 1: bad summand dimensions\n"
+
+
 def test_pipeline_unclosed_fragment_exit_two(tmp_path, m3, capsys):
     from omljordan.matalg import serialize_algebra, trivial_partition
 

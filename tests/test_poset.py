@@ -11,6 +11,8 @@ from omljordan.poset import (
     JoinMissing,
     NotAnIdeal,
     NotGenerated,
+    NotOrderIso,
+    NotSubposet,
     ParseError,
     Poset,
     UnknownElement,
@@ -23,6 +25,7 @@ from omljordan.poset import (
     parse_poset_text,
     serialize_poset,
     verify_poset,
+    _expect_induced_subposet,
 )
 
 from .oracles import (
@@ -125,6 +128,92 @@ def test_order_queries_match_relation_oracles_random(p):
     direct = Poset(p.elements, p.relation)
     assert direct == p
     _check_against_relation_oracles(direct)
+
+
+@st.composite
+def posets_with_bijections(draw):
+    """A random poset p, a relabelled copy q of it (or, half the time, a
+    copy with one generating pair dropped) and a bijection p -> q: the
+    relabelling itself or a random one."""
+    p = draw(random_posets())
+    names = {x: "q" + x[1:] for x in p.elements}
+    pairs = [(names[x], names[y]) for x, y in sorted(p.relation) if x != y]
+    if pairs and draw(st.booleans()):
+        del pairs[draw(st.integers(min_value=0, max_value=len(pairs) - 1))]
+    q = verify_poset(draw(st.permutations(sorted(names.values()))), pairs)
+    if draw(st.booleans()):
+        mapping = names
+    else:
+        mapping = dict(zip(p.elements, draw(st.permutations(q.elements))))
+    return p, q, mapping
+
+
+def _first_order_failure(source, target, mapping):
+    """The first row-major (x, y) where x <= y in source and
+    mapping[x] <= mapping[y] in target disagree, by relation lookups."""
+    for x in source.elements:
+        for y in source.elements:
+            if ((x, y) in source.relation) != (
+                (mapping[x], mapping[y]) in target.relation
+            ):
+                return x, y
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets_with_bijections())
+def test_order_iso_matches_relation_scan(data):
+    p, q, mapping = data
+    failure = _first_order_failure(p, q, mapping)
+    if failure is None:
+        assert dict(order_iso(p, q, mapping).mapping) == mapping
+        return
+    x, y = failure
+    with pytest.raises(NotOrderIso) as exc:
+        order_iso(p, q, mapping)
+    assert str(exc.value) == (
+        f"order not preserved at ({x}, {y}) -> ({mapping[x]}, {mapping[y]})"
+    )
+
+
+@st.composite
+def posets_with_subposets(draw):
+    """A random poset p and, on a random subset of its elements, either the
+    induced subposet or a random poset."""
+    p = draw(random_posets())
+    subset = draw(st.lists(st.sampled_from(p.elements), unique=True)) if p else []
+    if draw(st.booleans()):
+        return p, p.restrict(subset)
+    index = st.integers(min_value=0, max_value=max(len(subset) - 1, 0))
+    pairs = [
+        (subset[min(i, j)], subset[max(i, j)])
+        for i, j in draw(st.lists(st.tuples(index, index), max_size=8))
+        if i != j
+    ]
+    return p, verify_poset(draw(st.permutations(subset)), pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets_with_subposets())
+def test_induced_subposet_check_matches_relation_scan(data):
+    p, sub = data
+    failure = next(
+        (
+            (x, y)
+            for x in sub.elements
+            for y in sub.elements
+            if ((x, y) in sub.relation) != ((x, y) in p.relation)
+        ),
+        None,
+    )
+    if failure is None:
+        _expect_induced_subposet(sub, p)
+        return
+    with pytest.raises(NotSubposet) as exc:
+        _expect_induced_subposet(sub, p)
+    assert str(exc.value) == (
+        f"induced order differs from parent at ({failure[0]}, {failure[1]})"
+    )
 
 
 def test_singleton():

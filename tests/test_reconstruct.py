@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from omljordan.oml import (
@@ -26,7 +28,12 @@ from omljordan.reconstruct import (
     verify_oml_iso,
 )
 
-from .oracles import atom_extension_oml_isos, brute_oml_isos, filter_by_bsub_constraint
+from .oracles import (
+    atom_extension_oml_isos,
+    brute_oml_isos,
+    filter_by_bsub_constraint,
+    maximal_commuting_sets,
+)
 
 
 def test_has_4element_block():
@@ -80,6 +87,32 @@ def test_identity_reconstruction_counts(name, n, expected):
         for label in bsub.elements:
             members = members_of_label(label)
             assert frozenset(k.apply(x) for x in members) == members
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [("mo", n) for n in range(2, 9)]
+    + [("boolean", n) for n in range(2, 6)]
+    + [("horizontal_sum_b8", n) for n in range(2, 7)]
+    + [("greechie", 0)],
+)
+def test_reconstruction_count_oracle(name, n):
+    """The identity BSub isomorphism has 2^(number of 4-element blocks)
+    solutions: each block {0, x, x', 1} commutes with nothing else, so x and
+    x' swap freely.  Blocks are counted by the independent commutation
+    oracle.  "greechie" is two 3-atom blocks sharing an atom beside a
+    separate 2-atom block.  Time bound: 2 s per case (the slowest, mo(8)
+    with 256 solutions, takes about 0.03 s on a 2-core x86-64 VM)."""
+    if name == "greechie":
+        blks = [("a", "b", "c"), ("c", "d", "e"), ("f", "g")]
+        lattice = from_greechie(greechie_diagram(list("abcdefg"), blks))
+    else:
+        lattice = standard(name, n)
+    four = sum(len(b) == 4 for b in maximal_commuting_sets(lattice))
+    start = time.perf_counter()
+    sols = reconstruct_oml_isos(identity_bsub_iso(lattice))
+    assert time.perf_counter() - start < 2.0
+    assert len(sols) == 2**four
 
 
 def test_uniqueness_small_without_4blocks():
