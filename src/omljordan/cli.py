@@ -25,6 +25,17 @@ PARSE_ERRORS = (
     poset.UnknownElement,
 )
 
+INVARIANT_FAILURES = (
+    oml.NotLattice,
+    oml.OrthoNotInvolutive,
+    oml.ComplementationFails,
+    oml.OrthomodularityFails,
+    oml.PastingNotOml,
+    oml.InvalidDiagram,
+    matalg.InvalidPartition,
+    matalg.NotProjection,
+)
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
@@ -34,6 +45,9 @@ def main(argv: list[str] | None = None) -> int:
     except PARSE_ERRORS as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except INVARIANT_FAILURES as exc:
+        print(f"invariant failure: {type(exc).__name__}: {exc}")
+        return 1
     except pipeline.InvalidInstance as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return 2
@@ -140,44 +154,29 @@ def cmd_verify(args) -> int:
     if kind == "unknown":
         print("parse error: unrecognized file format", file=sys.stderr)
         return 2
-    try:
-        if kind == "algebra":
-            algebra, partitions = matalg.parse_algebra_text(text)
-            print(
-                f"valid algebra: summands {list(algebra.dims)}, "
-                f"{len(partitions)} partitions"
-            )
-        elif kind == "greechie":
-            diagram = oml.parse_greechie_text(text)
-            lattice = oml.from_greechie(diagram)
-            print(
-                f"valid Greechie diagram: pasting has {len(lattice)} elements, "
-                f"{len(oml.blocks(lattice))} blocks"
-            )
-        elif kind == "oml":
-            lattice = oml.parse_oml_text(text)
-            print(
-                f"valid OML: {len(lattice)} elements, "
-                f"{len(oml.blocks(lattice))} blocks"
-            )
-        else:
-            p = poset.parse_poset_text(text)
-            print(f"valid poset: {len(p)} elements")
-        return 0
-    except PARSE_ERRORS:
-        raise
-    except (
-        oml.NotLattice,
-        oml.OrthoNotInvolutive,
-        oml.ComplementationFails,
-        oml.OrthomodularityFails,
-        oml.PastingNotOml,
-        oml.InvalidDiagram,
-        matalg.InvalidPartition,
-        matalg.NotProjection,
-    ) as exc:
-        print(f"invariant failure: {type(exc).__name__}: {exc}")
-        return 1
+    if kind == "algebra":
+        algebra, partitions = matalg.parse_algebra_text(text)
+        print(
+            f"valid algebra: summands {list(algebra.dims)}, "
+            f"{len(partitions)} partitions"
+        )
+    elif kind == "greechie":
+        diagram = oml.parse_greechie_text(text)
+        lattice = oml.from_greechie(diagram)
+        print(
+            f"valid Greechie diagram: pasting has {len(lattice)} elements, "
+            f"{len(oml.blocks(lattice))} blocks"
+        )
+    elif kind == "oml":
+        lattice = oml.parse_oml_text(text)
+        print(
+            f"valid OML: {len(lattice)} elements, "
+            f"{len(oml.blocks(lattice))} blocks"
+        )
+    else:
+        p = poset.parse_poset_text(text)
+        print(f"valid poset: {len(p)} elements")
+    return 0
 
 
 def _hasse_dot(p: poset.Poset, name: str) -> str:

@@ -9,8 +9,8 @@ canonical member-set strings so that labels resolve back to member sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .poset import (
@@ -60,16 +60,15 @@ class Oml:
 
     order is a validated lattice with bottom and top; ortho is an
     order-reversing involution satisfying complementation and the
-    orthomodular law.  Use verify_oml to construct one.  Its Boolean
-    subalgebras and their poset BSub(L) are built once, on first use.
+    orthomodular law.  Use verify_oml to construct one.  It stores no
+    lattice tables: meet, join and join_of read order's masks, and return
+    None off the lattice.  BSub(L) is built once, on first use.
     """
 
     order: Poset
     ortho: Mapping[str, str]
     bottom: str
     top: str
-    _meet: Mapping[tuple[str, str], str] = field(repr=False)
-    _join: Mapping[tuple[str, str], str] = field(repr=False)
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -78,24 +77,20 @@ class Oml:
     def leq(self, x: str, y: str) -> bool:
         return self.order.leq(x, y)
 
-    def meet(self, x: str, y: str) -> str:
-        return self._meet[(x, y)]
+    def meet(self, x: str, y: str) -> str | None:
+        return self.order.meet(x, y)
 
-    def join(self, x: str, y: str) -> str:
-        return self._join[(x, y)]
+    def join(self, x: str, y: str) -> str | None:
+        return self.order.join(x, y)
 
     def complement(self, x: str) -> str:
         return self.ortho[x]
 
-    def join_of(self, xs: Iterable[str]) -> str:
-        return reduce(self.join, xs, self.bottom)
+    def join_of(self, xs: Iterable[str]) -> str | None:
+        return self.order.join_of(xs)
 
     def atoms(self) -> tuple[str, ...]:
-        return tuple(
-            x
-            for x in self.elements
-            if x != self.bottom and self.order.covers(self.bottom, x)
-        )
+        return tuple(x for x in self.elements if self.order.covers(self.bottom, x))
 
     def __len__(self) -> int:
         return len(self.order)
@@ -152,20 +147,12 @@ def verify_oml(order: Poset, ortho: Mapping[str, str]) -> Oml:
             raise InvalidIdentifier(
                 f"OML element identifier {e!r} may not contain braces or commas"
             )
-    meets: dict[tuple[str, str], str] = {}
-    joins: dict[tuple[str, str], str] = {}
-    up, down = order._up, order._down
     for x in order.elements:
-        up_x, down_x = up[x], down[x]
         for y in order.elements:
-            m = order._by_down.get(down_x & down[y])
-            if m is None:
+            if order.meet(x, y) is None:
                 raise NotLattice(f"no meet for ({x}, {y})")
-            j = order._by_up.get(up_x & up[y])
-            if j is None:
+            if order.join(x, y) is None:
                 raise NotLattice(f"no join for ({x}, {y})")
-            meets[(x, y)] = m
-            joins[(x, y)] = j
     bottom, top = order.bottom(), order.top()
     if bottom is None or top is None:
         raise NotLattice("missing bottom or top")
@@ -178,17 +165,17 @@ def verify_oml(order: Poset, ortho: Mapping[str, str]) -> Oml:
             raise OrthoNotInvolutive(f"ortho is not involutive at {x}")
     ortho_bits = [order._bit[ortho[x]] for x in order.elements]
     for x in order.elements:
-        if image_mask(up[x], ortho_bits) & ~down[ortho[x]]:
+        if image_mask(order._up[x], ortho_bits) & ~order._down[ortho[x]]:
             y = next(y for y in order.upset(x) if not order.leq(ortho[y], ortho[x]))
             raise OrthoNotInvolutive(f"ortho is not order-reversing at ({x}, {y})")
     for x in order.elements:
-        if meets[(x, ortho[x])] != bottom or joins[(x, ortho[x])] != top:
+        if order.meet(x, ortho[x]) != bottom or order.join(x, ortho[x]) != top:
             raise ComplementationFails(f"{x} and {ortho[x]} are not complements")
     for x in order.elements:
         for y in order.upset(x):
-            if joins[(x, meets[(y, ortho[x])])] != y:
+            if order.join(x, order.meet(y, ortho[x])) != y:
                 raise OrthomodularityFails(f"x={x}, y={y}: y != x v (y ^ x')")
-    return Oml(order, dict(ortho), bottom, top, meets, joins)
+    return Oml(order, dict(ortho), bottom, top)
 
 
 def commutes(lattice: Oml, a: str, b: str) -> bool:
@@ -287,10 +274,13 @@ def subalgebra_as_oml(sub: BooleanSubalgebra) -> Oml:
 
 
 def _subalgebra_from_partition(lattice: Oml, parts: Sequence[str]) -> BooleanSubalgebra:
-    members = set()
-    for bits in itertools.product((False, True), repeat=len(parts)):
-        members.add(lattice.join_of([p for p, b in zip(parts, bits) if b]))
-    return BooleanSubalgebra(lattice, frozenset(members), tuple(sorted(parts)))
+    """The 2^k joins of subsets of parts, as an AND table of up-masks."""
+    up = lattice.order._up
+    bounds = [(1 << len(lattice)) - 1]
+    for part in parts:
+        bounds += [b & up[part] for b in bounds]
+    members = frozenset(map(lattice.order._by_up.__getitem__, bounds))
+    return BooleanSubalgebra(lattice, members, tuple(sorted(parts)))
 
 
 def subalgebras(lattice: Oml) -> list[BooleanSubalgebra]:

@@ -178,21 +178,29 @@ def verify_poset(
             raise DuplicateElement(e)
         seen.add(e)
     elems = tuple(elements)
-    up = {e: {e} for e in elems}
+    bit = {e: 1 << i for i, e in enumerate(elems)}
+    up = dict(bit)
     for x, y in pairs:
-        if x not in up or y not in up:
+        if x not in bit or y not in bit:
             raise UnknownElement(f"pair ({x}, {y}) uses undeclared elements")
-        up[x].add(y)
-    # Warshall closure on the up-sets.
+        up[x] |= bit[y]
+    # Warshall closure on the int up-masks: each x below k takes k's up-mask.
     for k in elems:
+        bit_k, up_k = bit[k], up[k]
         for x in elems:
-            if k in up[x]:
-                up[x] |= up[k]
-    for i, x in enumerate(elems):
-        for y in elems[i + 1 :]:
-            if y in up[x] and x in up[y]:
+            if up[x] & bit_k:
+                up[x] |= up_k
+    relation = set()
+    for x in elems:
+        rest = up[x]
+        while rest:
+            low = rest & -rest
+            y = elems[low.bit_length() - 1]
+            if low > bit[x] and up[y] & bit[x]:
                 raise CycleError(f"{x} <= {y} <= {x}")
-    return Poset(elems, frozenset((x, y) for x in elems for y in up[x]))
+            relation.add((x, y))
+            rest ^= low
+    return Poset(elems, frozenset(relation))
 
 
 def finite_part(p: Poset) -> tuple[str, ...]:

@@ -86,26 +86,11 @@ def identity_bsub_iso(lattice: Oml) -> BsubIso:
 
 
 @dataclass(frozen=True, eq=False)
-class OmlIso:
-    """A bijection between OMLs preserving order (both ways) and ortho."""
+class OmlIso(OrderIso):
+    """An OrderIso between OMLs that also preserves ortho."""
 
     source: Oml
     target: Oml
-    mapping: Mapping[str, str]
-
-    def apply(self, x: str) -> str:
-        return self.mapping[x]
-
-    def mapping_items(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.mapping.items()))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OmlIso)
-            and self.source.elements == other.source.elements
-            and self.target.elements == other.target.elements
-            and dict(self.mapping) == dict(other.mapping)
-        )
 
 
 def verify_oml_iso(source: Oml, target: Oml, mapping: Mapping[str, str]) -> OmlIso:

@@ -51,6 +51,44 @@ def test_verify_invariant_failure(tmp_path, capsys):
     assert "invariant failure" in capsys.readouterr().out
 
 
+FAILING_OMLS = {
+    "self_ortho.oml": (
+        "elements 0 a 1\nle 0 a\nle a 1\northo 0 1\northo a a\n",
+        "ComplementationFails: a and a are not complements",
+    ),
+    "missing_ortho.oml": (
+        "elements 0 a b 1\nle 0 a\nle 0 b\nle a 1\nle b 1\northo 0 1\n",
+        "OrthoNotInvolutive: ortho map domain is not the element set",
+    ),
+    "o6.oml": (
+        "elements 0 a b ac bc 1\nle 0 a\nle a bc\nle bc 1\nle 0 b\nle b ac\n"
+        "le ac 1\northo 0 1\northo a ac\northo b bc\n",
+        "OrthomodularityFails: x=a, y=bc: y != x v (y ^ x')",
+    ),
+    "triangle.greechie": (
+        "atoms a b c d e f\nblock a b c\nblock c d e\nblock e f a\n",
+        "PastingNotOml: pasting fails OML axioms: no join for (a, c)",
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", ["verify", "bsub", "iso", "reconstruct"])
+@pytest.mark.parametrize("name", sorted(FAILING_OMLS))
+def test_axiom_failure_is_one_line_report(tmp_path, capsys, verb, name):
+    """Every verb that loads an OML reports an axiom failure as one stdout
+    line and exits 1."""
+    text, report = FAILING_OMLS[name]
+    path = tmp_path / name
+    path.write_text(text)
+    mapfile = tmp_path / "id.bsubiso"
+    mapfile.write_text(serialize_bsub_iso(identity_bsub_iso(standard("mo", 2))))
+    extra = {"iso": [path], "reconstruct": [path, mapfile]}.get(verb, [])
+    assert main([verb, str(path), *map(str, extra)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"invariant failure: {report}\n"
+    assert captured.err == ""
+
+
 def test_verify_parse_error(tmp_path):
     path = tmp_path / "bad.oml"
     path.write_text("elements a b\nwibble a b\northo a b\n")

@@ -1,8 +1,10 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
 from omljordan.combinat import bell_number
+from omljordan.matalg import FinDimAlgebra, projection_oml
 from omljordan.oml import (
     ComplementationFails,
     InvalidDiagram,
@@ -30,7 +32,15 @@ from omljordan.oml import (
 )
 from omljordan.poset import enumerate_order_isos, verify_poset
 
-from .oracles import count_set_partitions, maximal_commuting_sets
+from .conftest import diag_plus_rotated_fragment
+from .oracles import (
+    count_set_partitions,
+    join_by_relation,
+    maximal_commuting_sets,
+    meet_by_relation,
+)
+
+DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def test_two_element_lattice_valid():
@@ -48,6 +58,14 @@ def test_mo2_valid_not_distributive():
     assert lhs != rhs
 
 
+PENTAGON_FAILURES = {
+    ("a", "b", "c"): (OrthoNotInvolutive, "ortho is not order-reversing at (b, c)"),
+    ("a", "c", "b"): (ComplementationFails, "a and a are not complements"),
+    ("b", "a", "c"): (OrthoNotInvolutive, "ortho is not order-reversing at (b, c)"),
+    ("c", "b", "a"): (OrthoNotInvolutive, "ortho is not order-reversing at (b, c)"),
+}
+
+
 def test_pentagon_rejected_under_every_ortho():
     order = verify_poset(
         ["0", "a", "b", "c", "1"],
@@ -62,12 +80,12 @@ def test_pentagon_rejected_under_every_ortho():
         if any(ortho[ortho[x]] != x for x in ortho):
             continue
         candidates += 1
-        with pytest.raises(
-            (OrthoNotInvolutive, ComplementationFails, OrthomodularityFails)
-        ):
+        error, message = PENTAGON_FAILURES[images]
+        with pytest.raises(error) as exc:
             verify_oml(order, ortho)
+        assert str(exc.value) == message
         rejected += 1
-    assert candidates == rejected > 0
+    assert candidates == rejected == len(PENTAGON_FAILURES)
 
 
 def test_missing_join_is_not_lattice():
@@ -75,8 +93,64 @@ def test_missing_join_is_not_lattice():
         ["0", "a", "b", "t1", "t2"],
         [("0", "a"), ("0", "b"), ("a", "t1"), ("b", "t1"), ("a", "t2"), ("b", "t2")],
     )
-    with pytest.raises(NotLattice):
+    with pytest.raises(NotLattice) as exc:
         verify_oml(order, {"0": "t1", "t1": "0", "a": "b", "b": "a", "t2": "t2"})
+    assert str(exc.value) == "no join for (a, b)"
+
+
+O6_TEXT = (
+    "elements 0 a b ac bc 1\n"
+    "le 0 a\nle a bc\nle bc 1\nle 0 b\nle b ac\nle ac 1\n"
+    "ortho 0 1\northo a ac\northo b bc\n"
+)
+
+
+def test_benzene_ring_o6_message():
+    """O6, the hexagon 0 < a < b' < 1, 0 < b < a' < 1, is an ortholattice
+    but not orthomodular."""
+    with pytest.raises(OrthomodularityFails) as exc:
+        parse_oml_text(O6_TEXT)
+    assert str(exc.value) == "x=a, y=bc: y != x v (y ^ x')"
+
+
+def _lattice(name):
+    family, _, arg = name.partition(":")
+    if family == "greechie":
+        return from_greechie(parse_greechie_text((DATA / arg).read_text()))
+    if family == "projections":
+        algebra = FinDimAlgebra(tuple(int(d) for d in arg.split(",")))
+        projections = diag_plus_rotated_fragment(algebra).projections()
+        return projection_oml(algebra, projections)[0]
+    return standard(family, int(arg))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"boolean:{n}" for n in range(1, 5)]
+    + [f"mo:{n}" for n in range(1, 6)]
+    + [f"horizontal_sum_b8:{n}" for n in range(1, 4)]
+    + ["greechie:two_blocks.greechie", "projections:3", "projections:2,1"],
+)
+def test_lattice_operations_match_relation_oracles(name):
+    """meet, join and join_of (over every subset of the atoms), and the
+    member sets of the Boolean subalgebras, against scans of the relation."""
+    lattice = _lattice(name)
+    elements, relation = lattice.elements, lattice.order.relation
+    for x in elements:
+        for y in elements:
+            assert lattice.meet(x, y) == meet_by_relation(elements, relation, (x, y))
+            assert lattice.join(x, y) == join_by_relation(elements, relation, (x, y))
+    atoms = lattice.atoms()
+    for r in range(len(atoms) + 1):
+        for xs in itertools.combinations(atoms, r):
+            assert lattice.join_of(xs) == join_by_relation(elements, relation, xs)
+    for sub in subalgebras(lattice):
+        joins = {
+            join_by_relation(elements, relation, xs)
+            for r in range(len(sub.atoms) + 1)
+            for xs in itertools.combinations(sub.atoms, r)
+        }
+        assert sub.members == joins
 
 
 def test_commutes():

@@ -216,6 +216,59 @@ def test_induced_subposet_check_matches_relation_scan(data):
     )
 
 
+@st.composite
+def elements_with_pairs(draw):
+    """Elements in a random order with random generator pairs, which may
+    close into cycles."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    names = draw(st.permutations([f"p{i}" for i in range(n)]))
+    index = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=12))
+    return names, [(names[i], names[j]) for i, j in pairs]
+
+
+def _reachable(names, pairs):
+    """Each element's set of elements reachable along the pairs (itself
+    included), by depth-first search."""
+    succ = {x: [] for x in names}
+    for x, y in pairs:
+        succ[x].append(y)
+    reach = {}
+    for x in names:
+        seen, stack = {x}, [x]
+        while stack:
+            for y in succ[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        reach[x] = seen
+    return reach
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements_with_pairs())
+def test_verify_poset_closure_matches_reachability(data):
+    """The closure is reachability; CycleError is raised exactly when two
+    distinct elements reach each other, naming the first such pair in
+    element order."""
+    names, pairs = data
+    reach = _reachable(names, pairs)
+    cycles = [
+        (x, y)
+        for i, x in enumerate(names)
+        for y in names[i + 1 :]
+        if y in reach[x] and x in reach[y]
+    ]
+    if cycles:
+        x, y = cycles[0]
+        with pytest.raises(CycleError) as exc:
+            verify_poset(names, pairs)
+        assert str(exc.value) == f"{x} <= {y} <= {x}"
+    else:
+        p = verify_poset(names, pairs)
+        assert p.relation == {(x, y) for x in names for y in reach[x]}
+
+
 def test_singleton():
     p = verify_poset(["a"], [])
     assert p.elements == ("a",)
@@ -239,8 +292,9 @@ def test_duplicate_rejected():
 
 
 def test_unknown_element_rejected():
-    with pytest.raises(UnknownElement):
+    with pytest.raises(UnknownElement) as exc:
         verify_poset(["a"], [("a", "b")])
+    assert str(exc.value) == "pair (a, b) uses undeclared elements"
 
 
 def test_joins_and_meets():
