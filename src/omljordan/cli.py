@@ -34,6 +34,7 @@ INVARIANT_FAILURES = (
     oml.InvalidDiagram,
     matalg.InvalidPartition,
     matalg.NotProjection,
+    reconstruct.InconsistentLevels,
 )
 
 
@@ -146,7 +147,7 @@ def _load_oml(path: Path) -> oml.Oml:
 
 
 def cmd_verify(args) -> int:
-    if not args.path.exists():
+    if not args.path.is_file():
         print(f"parse error: no such file: {args.path}", file=sys.stderr)
         return 2
     text = args.path.read_text()
@@ -190,7 +191,7 @@ def _hasse_dot(p: poset.Poset, name: str) -> str:
 
 
 def cmd_bsub(args) -> int:
-    if not args.path.exists():
+    if not args.path.is_file():
         print(f"parse error: no such file: {args.path}", file=sys.stderr)
         return 2
     lattice = _load_oml(args.path)
@@ -230,7 +231,7 @@ def _load_order(path: Path) -> poset.Poset:
 
 def cmd_iso(args) -> int:
     for path in (args.left, args.right):
-        if not path.exists():
+        if not path.is_file():
             print(f"parse error: no such file: {path}", file=sys.stderr)
             return 2
     left = _load_order(args.left)
@@ -248,7 +249,7 @@ def cmd_iso(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     for path in (args.left, args.right, args.mapfile):
-        if not path.exists():
+        if not path.is_file():
             print(f"parse error: no such file: {path}", file=sys.stderr)
             return 2
     left = _load_oml(args.left)
@@ -256,11 +257,7 @@ def cmd_reconstruct(args) -> int:
     if max(len(left), len(right)) > args.max_size:
         print("parse error: OML over --max-size", file=sys.stderr)
         return 2
-    try:
-        iso = reconstruct.parse_bsub_iso_text(left, right, args.mapfile.read_text())
-    except reconstruct.InconsistentLevels as exc:
-        print(f"invariant failure: {exc}")
-        return 1
+    iso = reconstruct.parse_bsub_iso_text(left, right, args.mapfile.read_text())
     try:
         solutions = reconstruct.reconstruct_oml_isos(iso)
     except reconstruct.NoSolution as exc:
@@ -276,7 +273,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if not args.path.exists():
+    if not args.path.is_file():
         print(f"parse error: no such file: {args.path}", file=sys.stderr)
         return 2
     instance = pipeline.parse_instance_text(

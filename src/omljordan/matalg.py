@@ -652,19 +652,25 @@ def fragment(
     return AbelianFragment(algebra, parts)
 
 
-def check_coarsening_closed(frag: AbelianFragment) -> None:
-    """Raise InvalidFragment unless every merge of every member's atoms is a
-    member.  The Bell(k) merges of a k-atom member are distinct partitions,
-    so a member with more of them than the fragment has members is rejected
-    before any merge is built."""
-    keys = {p.key() for p in frag.partitions.values()}
-    for name, p in frag.partitions.items():
-        if bell_number(len(p)) > len(keys) or any(
-            merged not in keys for merged, _ in _merges(p)
-        ):
+def check_coarsening_closed(frag: AbelianFragment) -> Poset:
+    """Prove that every merge of every member's atoms is a member, and return
+    the fragment poset; raise InvalidFragment on the first member that fails.
+
+    The members below a k-atom member p are exactly its merges that are
+    members: a q <= p has atoms that are sums of p-atoms over disjoint cells.
+    Members are distinct, so p's Bell(k) merges are all members iff Bell(k)
+    members lie below p.  A member with more merges than the fragment has
+    members fails at once and stays out of the poset, so its 2^k subset sums
+    are never built; members below the others have fewer atoms, so stay in."""
+    parts = frag.partitions
+    within = {n: p for n, p in parts.items() if bell_number(len(p)) <= len(frag)}
+    poset = fragment_poset(AbelianFragment(frag.algebra, within))
+    for name, p in parts.items():
+        if name not in within or poset._down[name].bit_count() != bell_number(len(p)):
             raise InvalidFragment(
                 f"fragment is not coarsening-closed: a merge of {name!r} is missing"
             )
+    return poset
 
 
 def coarsening_closure(

@@ -5,7 +5,9 @@ the triangle recurrence, set partitions from restricted growth strings,
 isomorphism enumeration from raw bijection filtering with local checks,
 blocks from maximal cliques of the commutation relation, the projection
 order, orthogonality and coarsening from exact matrix products (the package
-decides them by traces and subset-sum keys), poset joins, meets, covers and
+decides them by traces and subset-sum keys), coarsening closure from
+restricted growth strings and matrix sums (the package counts members below
+each member in the fragment poset), poset joins, meets, covers and
 ideals from scans of the raw <= relation (the package reads int up-masks
 and down-masks), and the reduced row echelon form by Gauss-Jordan
 elimination on GaussScalar fractions (the package eliminates fraction-free
@@ -13,6 +15,7 @@ on Gaussian integers).
 """
 
 import itertools
+import types
 
 from omljordan.linalg import GaussScalar
 
@@ -185,6 +188,34 @@ def coarsens_by_products(p, q):
         if total != atom:
             return False
     return True
+
+
+def _restricted_growth_strings(n):
+    """Every set partition of range(n), as the block index of each item."""
+    strings = [[]]
+    for _ in range(n):
+        strings = [s + [v] for s in strings for v in range(max(s, default=-1) + 2)]
+    return strings
+
+
+def first_unclosed_member(frag):
+    """The first member, in dict order, one of whose atom merges is not a
+    member, or None.  Merges come from restricted growth strings and matrix
+    sums of the atoms; a merge is a member q iff q has as many atoms and the
+    merge coarsens q (each merged atom then is one atom of q)."""
+    members = list(frag.partitions.values())
+    for name, p in frag.partitions.items():
+        for string in _restricted_growth_strings(len(p.atoms)):
+            cells = [p.algebra.zero() for _ in range(max(string) + 1)]
+            for atom, cell in zip(p.atoms, string):
+                cells[cell] = cells[cell] + atom
+            merge = types.SimpleNamespace(algebra=p.algebra, atoms=cells)
+            if not any(
+                len(q.atoms) == len(cells) and coarsens_by_products(merge, q)
+                for q in members
+            ):
+                return name
+    return None
 
 
 # Poset queries from the pair set alone: `relation` holds every (x, y) with

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from .conftest import (
     rotated_partition,
     rotation_unitary,
 )
+
+DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 @pytest.fixture
@@ -187,6 +190,25 @@ def test_reconstruct_unique_exit_zero(tmp_path, capsys):
     assert "1 OML isomorphisms" in capsys.readouterr().out
 
 
+def test_reconstruct_inconsistent_levels_names_its_type(tmp_path, capsys):
+    """A map that swaps a block with the trivial subalgebra is reported as one
+    invariant-failure line that names InconsistentLevels."""
+    mo2 = DATA / "mo2.oml"
+    text = (DATA / "mo2_identity.bsubiso").read_text()
+    mapfile = tmp_path / "swapped.bsubiso"
+    mapfile.write_text(
+        text.replace("map L0 R0", "map L0 R2").replace("map L2 R2", "map L2 R0")
+    )
+    assert main(["reconstruct", str(mo2), str(mo2), str(mapfile)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "invariant failure: InconsistentLevels: not an order-isomorphism of "
+        "BSub posets: order not preserved at ({0,1,a1,b1}, {0,1,a2,b2}) -> "
+        "({0,1}, {0,1,a2,b2})\n"
+    )
+
+
 def _write_counterexample(tmp_path):
     algebra = FinDimAlgebra((2,))
     u = rotation_unitary(algebra)
@@ -236,6 +258,50 @@ def test_pipeline_missing_file(tmp_path):
     broken = tmp_path / "broken.instance"
     broken.write_text("algebra M missing.alg\n")
     assert main(["pipeline", str(broken)]) == 2
+
+
+@pytest.mark.parametrize(
+    "verb, slot",
+    [
+        ("verify", 0),
+        ("bsub", 0),
+        ("iso", 0),
+        ("iso", 1),
+        ("reconstruct", 0),
+        ("reconstruct", 1),
+        ("reconstruct", 2),
+        ("pipeline", 0),
+    ],
+)
+def test_directory_for_a_file_is_a_parse_error(
+    tmp_path, mo2_file, capsys, verb, slot
+):
+    """A directory where a verb expects a file exits 2 with one stderr line,
+    as a missing file does."""
+    mapfile = tmp_path / "id.bsubiso"
+    mapfile.write_text(serialize_bsub_iso(identity_bsub_iso(standard("mo", 2))))
+    paths = {"iso": [mo2_file] * 2, "reconstruct": [mo2_file] * 2 + [mapfile]}
+    args = paths.get(verb, [mo2_file])
+    args[slot] = tmp_path
+    assert main([verb, *map(str, args)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: no such file: {tmp_path}\n"
+
+
+def test_instance_naming_a_directory_is_a_parse_error(tmp_path, capsys):
+    (tmp_path / "algebras").mkdir()
+    path = tmp_path / "dir.instance"
+    path.write_text(
+        "algebra M algebras\nalgebra N algebras\n"
+        "fragment M trivial\nfragment N trivial\nfmap trivial trivial\n"
+    )
+    assert main(["pipeline", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"parse error: algebra file not found: {tmp_path / 'algebras'}\n"
+    )
 
 
 @pytest.mark.parametrize("summands", ["[0]", "[]"])

@@ -52,6 +52,7 @@ from .conftest import (
 )
 from .oracles import (
     coarsens_by_products,
+    first_unclosed_member,
     is_projection_by_products,
     leq_by_products,
     orthogonal_by_products,
@@ -455,6 +456,45 @@ def test_fragment_closure_check_names_each_missing_merge(m31):
             r"'(diag|rot)' is missing$",
         ):
             check_coarsening_closed(fragment(m31, parts))
+
+
+CLOSURE_DIMS = [(3,), (2, 1), (3, 1)]
+
+
+@pytest.mark.parametrize("dims", CLOSURE_DIMS, ids=str)
+def test_closure_proof_returns_poset_with_trivial_bottom(dims):
+    """The closure proof returns the fragment poset, whose bottom is the
+    trivial member: its projections {0, 1} lie in every member's."""
+    frag = diag_plus_rotated_fragment(FinDimAlgebra(dims))
+    poset = check_coarsening_closed(frag)
+    assert poset == fragment_poset(frag)
+    assert poset.bottom() == "trivial"
+
+
+@pytest.mark.parametrize("dims", CLOSURE_DIMS, ids=str)
+def test_closure_proof_matches_merge_oracle(dims):
+    """On random sub-fragments in shuffled order, the counting proof rejects
+    exactly when a merge enumerated by the oracle is missing, and names the
+    same member."""
+    algebra = FinDimAlgebra(dims)
+    closed = diag_plus_rotated_fragment(algebra)
+    rand = rng(len(closed))
+    rejected = 0
+    for drop in (0.0, 0.05, 0.1, 0.2, 0.3, 0.5) * 2:
+        names = [n for n in closed.names() if n == "trivial" or rand.random() >= drop]
+        rand.shuffle(names)
+        frag = fragment(algebra, {n: closed.partitions[n] for n in names})
+        expected = first_unclosed_member(frag)
+        if expected is None:
+            check_coarsening_closed(frag)
+            continue
+        rejected += 1
+        with pytest.raises(InvalidFragment) as info:
+            check_coarsening_closed(frag)
+        assert str(info.value) == (
+            f"fragment is not coarsening-closed: a merge of {expected!r} is missing"
+        )
+    assert 0 < rejected < 12
 
 
 def test_is_type_i2_free():

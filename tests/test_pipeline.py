@@ -2,11 +2,13 @@ import time
 
 import pytest
 
+from omljordan.combinat import set_partitions
 from omljordan.jordan import (
     JordanMap,
     ad_unitary,
     compose_maps,
     identity_map,
+    image_fragment,
     transpose_map,
 )
 from omljordan.matalg import (
@@ -287,6 +289,28 @@ def test_instance_validation_rejects_member_with_too_many_merges(monkeypatch):
         )
     assert time.perf_counter() - start < 1.0
     assert 12 not in summed
+
+
+def test_instance_validation_builds_no_merges(m3, monkeypatch):
+    """Validating an instance on closed fragments counts the members below
+    each member in the fragment poset and enumerates no set partition."""
+    from omljordan import matalg
+
+    frag = diag_plus_rotated_fragment(m3)
+    g = ad_unitary(m3, rotation_unitary(m3))
+    image = image_fragment(g, frag)
+    enumerated = []
+
+    def counted(items):
+        enumerated.append(items)
+        return set_partitions(items)
+
+    monkeypatch.setattr(matalg, "set_partitions", counted)
+    instance = theorem_instance(
+        m3, m3, frag, image, {name: name for name in frag.names()}
+    )
+    assert enumerated == []
+    assert instance.f.apply("trivial") == "trivial"
 
 
 def test_chain_runs_once_per_instance(tmp_path, m3, monkeypatch):

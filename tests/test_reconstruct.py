@@ -11,7 +11,7 @@ from omljordan.oml import (
     standard,
     subalgebra_label,
 )
-from omljordan.poset import OrderIso
+from omljordan.poset import OrderIso, enumerate_order_isos
 from omljordan.reconstruct import (
     BsubIso,
     HypothesisViolated,
@@ -224,6 +224,33 @@ def test_inconsistent_levels_rejected():
     mapping = {trivial: block, block: trivial, other: other}
     with pytest.raises(InconsistentLevels):
         bsub_iso(lattice, lattice, mapping)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [
+        ("mo", 2),
+        ("mo", 3),
+        ("mo", 4),
+        ("horizontal_sum_b8", 2),
+        ("boolean", 3),
+        ("boolean", 4),
+    ],
+)
+def test_bsub_automorphisms_keep_the_levels(kind, n):
+    """Every order automorphism of BSub fixes the trivial subalgebra (its
+    bottom) and maps 4-element subalgebras (its atoms) to 4-element ones, so
+    bsub_iso needs no level check beyond the order-isomorphism."""
+    lattice = standard(kind, n)
+    bsub = boolean_subalgebras(lattice)
+    trivial = subalgebra_label({lattice.bottom, lattice.top})
+    isos = enumerate_order_isos(bsub, bsub)
+    assert isos
+    for j in isos:
+        assert j.apply(trivial) == trivial
+        for label in bsub.elements:
+            size = len(members_of_label(label))
+            assert (size == 4) == (len(members_of_label(j.apply(label))) == 4)
 
 
 def test_no_solution_on_doctored_iso():
