@@ -10,10 +10,11 @@ The package has three layers:
   rationals (`matalg`), Jordan maps and spectral extension (`jordan`), and
   the end-to-end theorem pipeline (`pipeline`).
 
-`cli` exposes the command-line front end.
+`cli` exposes the command-line front end.  It is not imported here, so
+that `python -m omljordan.cli` runs it fresh.
 """
 
-from . import cli, combinat, jordan, linalg, matalg, oml, pipeline, poset, reconstruct
+from . import combinat, jordan, linalg, matalg, oml, pipeline, poset, reconstruct
 
 __all__ = [
     "cli",

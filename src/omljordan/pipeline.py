@@ -47,6 +47,8 @@ from .matalg import (
 )
 from .oml import Oml, boolean_subalgebras, subalgebra_label
 from .poset import (
+    JoinMissing,
+    NotAnIdeal,
     NotGenerated,
     OrderIso,
     ParseError,
@@ -63,7 +65,16 @@ class InvalidInstance(Exception):
 
 
 class InsufficientFragment(Exception):
-    """The fragment does not generate the subalgebra poset level needed."""
+    """The fragment does not generate the subalgebra poset level needed.
+
+    Witness: ``outside`` is the first Boolean subalgebra (a BSub label) of
+    side ``side`` ("M" or "N") whose projections are no fragment member's.
+    """
+
+    def __init__(self, message: str, side: str, outside: str):
+        super().__init__(message)
+        self.side = side
+        self.outside = outside
 
 
 class AmbiguousReconstruction(Exception):
@@ -202,12 +213,24 @@ def execute(instance: TheoremInstance) -> PipelineRun:
     )
 
     # Step j: ideal-completion extension over the full subalgebra posets.
+    # When the fragment covers both posets the extension is the identity
+    # and cannot fail, so a failure leaves a subalgebra outside it.
     try:
         j = extend_iso_via_ideals(h, bsub_m, bsub_n)
-    except NotGenerated as exc:
+    except (NotGenerated, NotAnIdeal, JoinMissing) as exc:
+        covered = {"M": set(h_mapping), "N": set(h_mapping.values())}
+        side, outside = next(
+            (side, x)
+            for side, bsub in (("M", bsub_m), ("N", bsub_n))
+            for x in bsub.elements
+            if x not in covered[side]
+        )
         raise InsufficientFragment(
             "the fragment does not generate the full Boolean-subalgebra "
-            f"poset of its projection lattice: {exc}"
+            f"poset of its projection lattice: {outside} of BSub({side}) is "
+            f"outside the fragment ({type(exc).__name__}: {exc})",
+            side,
+            outside,
         )
     run.note(
         f"step j: extended over the subalgebra posets "

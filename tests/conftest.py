@@ -85,3 +85,21 @@ def diag_plus_rotated_fragment(algebra):
         algebra,
         {"diag": diagonal_partition(algebra), "rot": rotated_partition(algebra, u)},
     )
+
+
+def three_partition_fragment(algebra):
+    """Coarsening closure of p = {e1+e2, e3}, q = {f1, f2+e3} and
+    s = {f2, f1+e3}, where f_i is e_i rotated in the first two coordinates.
+    Its 4 members give an 8-element Boolean projection lattice whose BSub has
+    5 elements, so its top is no member's: step j cannot extend over it."""
+    u = rotation_unitary(algebra)
+    e1, e2, e3 = algebra.diagonal_atoms()[:3]
+    f1, f2 = (as_projection(u * e * u.star()) for e in (e1, e2))
+    return coarsening_closure(
+        algebra,
+        {
+            "p": partition_of_unity(algebra, [as_projection(e1 + e2), e3]),
+            "q": partition_of_unity(algebra, [f1, as_projection(f2 + e3)]),
+            "s": partition_of_unity(algebra, [f2, as_projection(f1 + e3)]),
+        },
+    )

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from omljordan.cli import main
-from omljordan.jordan import identity_map
+from omljordan.jordan import identity_map, transpose_map
 from omljordan.matalg import FinDimAlgebra, coarsening_closure
 from omljordan.oml import (
     greechie_diagram,
@@ -20,6 +24,7 @@ from .conftest import (
     diagonal_partition,
     rotated_partition,
     rotation_unitary,
+    three_partition_fragment,
 )
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -251,6 +256,45 @@ def test_pipeline_machine_format(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ambiguous"] is True
     assert payload["candidates"] == 4
+
+
+def test_pipeline_insufficient_fragment_is_one_line(tmp_path, m3, capsys):
+    """Step j on a fragment that leaves a Boolean subalgebra uncovered:
+    one report line, exit 1, in both output formats.  Time bound: 10 s
+    (about 0.1 s on a 2-core x86-64 VM)."""
+    start = time.perf_counter()
+    instance = induced_instance(transpose_map(m3), three_partition_fragment(m3))
+    path = write_instance_files(tmp_path, "uncovered", instance)
+    for extra in ([], ["--format", "machine"]):
+        assert main(["pipeline", str(path), *extra]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines() == [
+            "insufficient fragment: the fragment does not generate the full "
+            "Boolean-subalgebra poset of its projection lattice: "
+            "{0,1,q0,q1,q2,q3,q4,q5} of BSub(M) is outside the fragment "
+            "(NotAnIdeal: downset of {0,1,q0,q1,q2,q3,q4,q5} in the finite "
+            "part is not an ideal)"
+        ]
+    assert time.perf_counter() - start < 10.0
+
+
+def test_module_run_writes_no_stderr():
+    """`python -m omljordan.cli` on a valid file: exit 0 and an empty
+    stderr (no runpy warning about a package that imported the CLI early).
+    Time bound: 30 s for the subprocess."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "omljordan.cli", "verify", str(DATA / "hs_b8_2.oml")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "valid OML: 14 elements, 2 blocks\n"
 
 
 def test_pipeline_missing_file(tmp_path):

@@ -42,6 +42,7 @@ from .conftest import (
     diagonal_partition,
     rotated_partition,
     rotation_unitary,
+    three_partition_fragment,
 )
 
 
@@ -176,6 +177,24 @@ def test_insufficient_fragment_single_maximal_partition(m31):
     instance = TheoremInstance(m31, m31, frag, frag, f)
     with pytest.raises(InsufficientFragment):
         execute(instance)
+
+
+@pytest.mark.parametrize("map_name", ["identity", "transpose"])
+def test_insufficient_fragment_names_first_subalgebra_outside(m3, map_name):
+    """A valid instance whose projection lattice has a Boolean subalgebra
+    (its top, B8 itself) that no member covers: step j's failure is one
+    InsufficientFragment naming it, not a bare poset exception.  Time bound:
+    5 s (about 0.03 s on a 2-core x86-64 VM)."""
+    g = {"identity": identity_map, "transpose": transpose_map}[map_name](m3)
+    start = time.perf_counter()
+    instance = induced_instance(g, three_partition_fragment(m3))
+    with pytest.raises(InsufficientFragment, match="outside the fragment") as info:
+        run_pipeline(instance)
+    assert time.perf_counter() - start < 5.0
+    assert (info.value.side, info.value.outside) == (
+        "M",
+        "{0,1,q0,q1,q2,q3,q4,q5}",
+    )
 
 
 def test_small_fragment_two_atom_partition_is_ambiguous(m31):

@@ -17,8 +17,10 @@ from omljordan.reconstruct import (
     HypothesisViolated,
     InconsistentLevels,
     NoSolution,
+    UniquenessFailed,
     bsub_iso,
     certify_unique,
+    count_oml_isos,
     has_4element_block,
     identity_bsub_iso,
     induced_bsub_iso,
@@ -89,30 +91,151 @@ def test_identity_reconstruction_counts(name, n, expected):
             assert frozenset(k.apply(x) for x in members) == members
 
 
-@pytest.mark.parametrize(
-    "name,n",
+COUNT_CASES = (
     [("mo", n) for n in range(2, 9)]
     + [("boolean", n) for n in range(2, 6)]
     + [("horizontal_sum_b8", n) for n in range(2, 7)]
-    + [("greechie", 0)],
+    + [("greechie", 0)]
 )
+
+
+def _pasting(*blks):
+    atoms = sorted({a for blk in blks for a in blk})
+    return from_greechie(greechie_diagram(atoms, blks))
+
+
+def _count_case_lattice(name, n):
+    """The lattice of one COUNT_CASES entry; "greechie" is two 3-atom blocks
+    sharing an atom beside a separate 2-atom block."""
+    if name == "greechie":
+        return _pasting(("a", "b", "c"), ("c", "d", "e"), ("f", "g"))
+    return standard(name, n)
+
+
+@pytest.mark.parametrize("name,n", COUNT_CASES)
 def test_reconstruction_count_oracle(name, n):
     """The identity BSub isomorphism has 2^(number of 4-element blocks)
     solutions: each block {0, x, x', 1} commutes with nothing else, so x and
     x' swap freely.  Blocks are counted by the independent commutation
-    oracle.  "greechie" is two 3-atom blocks sharing an atom beside a
-    separate 2-atom block.  Time bound: 2 s per case (the slowest, mo(8)
-    with 256 solutions, takes about 0.03 s on a 2-core x86-64 VM)."""
-    if name == "greechie":
-        blks = [("a", "b", "c"), ("c", "d", "e"), ("f", "g")]
-        lattice = from_greechie(greechie_diagram(list("abcdefg"), blks))
-    else:
-        lattice = standard(name, n)
+    oracle.  Time bound: 2 s per case (the slowest, mo(8) with 256
+    solutions, takes about 0.03 s on a 2-core x86-64 VM)."""
+    lattice = _count_case_lattice(name, n)
     four = sum(len(b) == 4 for b in maximal_commuting_sets(lattice))
     start = time.perf_counter()
     sols = reconstruct_oml_isos(identity_bsub_iso(lattice))
     assert time.perf_counter() - start < 2.0
     assert len(sols) == 2**four
+
+
+@pytest.mark.parametrize("name,n", COUNT_CASES)
+def test_count_equals_listing(name, n):
+    """count_oml_isos multiplies the component counts without listing the
+    solutions; it must agree with the listing.  Time bound: 2 s per case."""
+    iso = identity_bsub_iso(_count_case_lattice(name, n))
+    start = time.perf_counter()
+    assert count_oml_isos(iso) == len(reconstruct_oml_isos(iso))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_count_beyond_listing_reach():
+    """MO(40) has 40 components of 2 orientations each: 2^40 solutions,
+    counted in well under a second (about 0.01 s on a 2-core x86-64 VM),
+    where listing them could never finish."""
+    iso = identity_bsub_iso(standard("mo", 40))
+    start = time.perf_counter()
+    assert count_oml_isos(iso) == 2**40
+    assert time.perf_counter() - start < 1.0
+
+
+def _block_swap(lattice, swap):
+    """The BSub isomorphism induced by the OML automorphism that exchanges
+    atoms as in swap (given one way) and fixes every other atom."""
+    atom_map = {a: a for a in lattice.atoms()}
+    atom_map.update(swap)
+    atom_map.update({b: a for a, b in swap.items()})
+    mapping = {
+        x: lattice.join_of(atom_map[a] for a in lattice.atoms() if lattice.leq(a, x))
+        for x in lattice.elements
+    }
+    return induced_bsub_iso(verify_oml_iso(lattice, lattice, mapping))
+
+
+@pytest.mark.parametrize(
+    "blks, swap, count",
+    [
+        # A 3-atom block beside two separate 4-element blocks.
+        ((("a", "b", "c"), ("d", "e"), ("f", "g")), {}, 4),
+        ((("a", "b", "c"), ("d", "e"), ("f", "g")), {"d": "f", "e": "g"}, 4),
+        # Two 3-atom blocks sharing an atom: one component of two blocks.
+        ((("a", "b", "c"), ("c", "d", "e"), ("f", "g")), {"a": "e", "b": "d"}, 2),
+    ],
+)
+def test_factored_search_matches_atom_extension_oracle(blks, swap, count):
+    """On pastings with several block components, the per-component search
+    gives the oracle's solutions in the same order.  Time bound: 10 s per
+    case (the oracle tries 7! atom bijections; about 0.2 s on a 2-core
+    x86-64 VM)."""
+    lattice = _pasting(*blks)
+    iso = _block_swap(lattice, swap)
+    start = time.perf_counter()
+    oracle = filter_by_bsub_constraint(
+        lattice,
+        lattice,
+        atom_extension_oml_isos(lattice, lattice),
+        iso.apply_members,
+    )
+    sols = reconstruct_oml_isos(iso)
+    assert time.perf_counter() - start < 10.0
+    assert sorted(tuple(sorted(m.items())) for m in oracle) == [
+        k.mapping_items() for k in sols
+    ]
+    assert len(sols) == count
+
+
+def test_factored_search_matches_brute_force_under_block_swap():
+    """MO(3) under the j of an automorphism that exchanges two of its three
+    blocks: the components are solved separately, and the listing equals
+    the brute-force oracle's, in the same order.  Time bound: 10 s (the
+    oracle filters 8! bijections; about 0.15 s on a 2-core x86-64 VM)."""
+    lattice = standard("mo", 3)
+    iso = _block_swap(lattice, {"a1": "a2", "b1": "b2"})
+    start = time.perf_counter()
+    oracle = filter_by_bsub_constraint(
+        lattice, lattice, brute_oml_isos(lattice, lattice), iso.apply_members
+    )
+    sols = reconstruct_oml_isos(iso)
+    assert time.perf_counter() - start < 10.0
+    assert sorted(tuple(sorted(m.items())) for m in oracle) == [
+        k.mapping_items() for k in sols
+    ]
+    assert len(sols) == 8 and sols[0].apply("a1") == "a2"
+
+
+def test_search_effort_is_linear_in_components(monkeypatch):
+    """MO(12) is 12 components of one pair each: the search makes 4 partial
+    order tests and 2 full order-isomorphism checks per component, not one
+    check per each of the 4,096 complete assignments.  Time bound: 2 s."""
+    from omljordan import reconstruct
+
+    calls = {"extends_order_iso": 0, "order_iso": 0}
+
+    def counted(name):
+        original = getattr(reconstruct, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    iso = identity_bsub_iso(standard("mo", 12))
+    for name in calls:
+        monkeypatch.setattr(reconstruct, name, counted(name))
+    start = time.perf_counter()
+    assert len(reconstruct_oml_isos(iso)) == 2**12
+    assert time.perf_counter() - start < 2.0
+    assert calls["extends_order_iso"] <= 4 * 12
+    assert calls["order_iso"] <= 2 * 12
 
 
 def test_uniqueness_small_without_4blocks():
@@ -275,6 +398,67 @@ def test_no_solution_on_doctored_iso():
     )
     with pytest.raises(NoSolution):
         reconstruct_oml_isos(lying)
+
+
+def test_no_solution_when_two_pairs_share_a_target():
+    """A doctored transport that sends both blocks of MO(2) onto the block
+    {0, 1, a1, b1}: each component alone has solutions, but no bijection
+    covers a2 and b2, so the product must not be taken.  Time bound: 1 s."""
+    lattice = standard("mo", 2)
+    bsub = boolean_subalgebras(lattice)
+    collapse = {"a2": "a1", "b2": "b1"}
+
+    class Lying(BsubIso):
+        def apply_members(self, members):
+            return frozenset(collapse.get(x, x) for x in members)
+
+    lying = Lying(
+        lattice, lattice, OrderIso(bsub, bsub, {x: x for x in bsub.elements})
+    )
+    start = time.perf_counter()
+    with pytest.raises(NoSolution):
+        reconstruct_oml_isos(lying)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_no_solution_when_target_order_crosses_components():
+    """MO(3)'s three blocks doctored onto the three pairs of B8: each block
+    component alone matches its target pair in 2 ways, but B8 orders
+    elements of different target pairs (a1 <= a1+a2), which MO(3) does not,
+    so no product of component solutions is an isomorphism.  Time bound:
+    1 s."""
+    left, right = standard("mo", 3), standard("boolean", 3)
+    onto = {"b1": "a2+a3", "b2": "a1+a3", "b3": "a1+a2"}
+    bsub = boolean_subalgebras(left)
+
+    class Lying(BsubIso):
+        def apply_members(self, members):
+            return frozenset(onto.get(x, x) for x in members)
+
+    lying = Lying(left, right, OrderIso(bsub, bsub, {x: x for x in bsub.elements}))
+    start = time.perf_counter()
+    with pytest.raises(NoSolution, match="crosses the images"):
+        reconstruct_oml_isos(lying)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_uniqueness_failed_lists_every_solution(monkeypatch):
+    """With the block check bypassed, MO(2)'s two components of two
+    orientations each make certify_unique report all four solutions.  Time
+    bound: 1 s."""
+    from omljordan import reconstruct
+
+    monkeypatch.setattr(reconstruct, "has_4element_block", lambda lattice: False)
+    identity = "{'0': '0', '1': '1', 'a1': 'a1', 'b1': 'b1', 'a2': 'a2', 'b2': 'b2'}"
+    start = time.perf_counter()
+    with pytest.raises(UniquenessFailed) as info:
+        certify_unique(identity_bsub_iso(standard("mo", 2)))
+    assert time.perf_counter() - start < 1.0
+    message = str(info.value)
+    assert message.startswith(
+        "4 solutions where the uniqueness guarantee promises one: " + identity + "; "
+    )
+    assert message.count("'0': '0'") == 4
 
 
 def test_uniqueness_failed_is_internal_consistency():
