@@ -38,10 +38,18 @@ INVARIANT_FAILURES = (
     reconstruct.InconsistentLevels,
 )
 
+# The arguments that name input files, in the order they are checked.
+INPUT_PATHS = ("path", "left", "right", "mapfile")
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name in INPUT_PATHS:
+        path = getattr(args, name, None)
+        if path is not None and not path.is_file():
+            print(f"parse error: no such file: {path}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except PARSE_ERRORS as exc:
@@ -125,10 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sniff(text: str) -> str:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, line in poset.content_lines(text):
         head = line.split()[0]
         if head == "summands:" or line.startswith("summands:"):
             return "algebra"
@@ -151,9 +156,6 @@ def _load_oml(path: Path) -> oml.Oml:
 
 
 def cmd_verify(args) -> int:
-    if not args.path.is_file():
-        print(f"parse error: no such file: {args.path}", file=sys.stderr)
-        return 2
     text = args.path.read_text()
     kind = _sniff(text)
     if kind == "unknown":
@@ -195,9 +197,6 @@ def _hasse_dot(p: poset.Poset, name: str) -> str:
 
 
 def cmd_bsub(args) -> int:
-    if not args.path.is_file():
-        print(f"parse error: no such file: {args.path}", file=sys.stderr)
-        return 2
     lattice = _load_oml(args.path)
     if len(lattice) > args.max_size:
         print(
@@ -234,10 +233,6 @@ def _load_order(path: Path) -> poset.Poset:
 
 
 def cmd_iso(args) -> int:
-    for path in (args.left, args.right):
-        if not path.is_file():
-            print(f"parse error: no such file: {path}", file=sys.stderr)
-            return 2
     left = _load_order(args.left)
     right = _load_order(args.right)
     if max(len(left), len(right)) > args.max_size:
@@ -252,10 +247,6 @@ def cmd_iso(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    for path in (args.left, args.right, args.mapfile):
-        if not path.is_file():
-            print(f"parse error: no such file: {path}", file=sys.stderr)
-            return 2
     left = _load_oml(args.left)
     right = _load_oml(args.right)
     if max(len(left), len(right)) > args.max_size:
@@ -277,9 +268,6 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if not args.path.is_file():
-        print(f"parse error: no such file: {args.path}", file=sys.stderr)
-        return 2
     instance = pipeline.parse_instance_text(
         args.path.read_text(), args.path.parent
     )
@@ -342,20 +330,12 @@ def _counterexample_instance() -> pipeline.TheoremInstance:
     """dims(2) with the full MO-style fragment and f = identity."""
     algebra = matalg.FinDimAlgebra((2,))
     u = algebra.from_rows(
-        [
-            [Fraction(3, 5), Fraction(4, 5)],
-            [Fraction(-4, 5), Fraction(3, 5)],
-        ]
+        [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]]
     )
-    diag = matalg.partition_of_unity(
-        algebra, [algebra.matrix_unit(0, 0, 0), algebra.matrix_unit(0, 1, 1)]
-    )
+    atoms = algebra.diagonal_atoms()
+    diag = matalg.partition_of_unity(algebra, atoms)
     rot = matalg.partition_of_unity(
-        algebra,
-        [
-            matalg.as_projection(u * algebra.matrix_unit(0, 0, 0) * u.star()),
-            matalg.as_projection(u * algebra.matrix_unit(0, 1, 1) * u.star()),
-        ],
+        algebra, [matalg.as_projection(u * p * u.star()) for p in atoms]
     )
     frag = matalg.coarsening_closure(algebra, {"diag": diag, "rot": rot})
     return pipeline.induced_instance(jordanmod.identity_map(algebra), frag)

@@ -364,6 +364,11 @@ class ReportEntry:
     status: str  # PASS / FAIL / SKIP
     witness: str = ""
 
+    @classmethod
+    def of(cls, name: str, passed: bool, witness: str = "") -> "ReportEntry":
+        """PASS, or FAIL with the witness."""
+        return cls(name, "PASS") if passed else cls(name, "FAIL", witness)
+
     def render(self) -> str:
         suffix = f"  ({self.witness})" if self.witness else ""
         return f"{self.status} {self.name}{suffix}"
@@ -400,15 +405,10 @@ def verify_jordan(
     SKIP (fragment spans need not be closed under the product); failures
     carry witnesses.
     """
-    entries: list[ReportEntry] = []
     ident = phi.source.identity()
-    if phi.covers(ident) and phi.apply(ident) == phi.target.identity():
-        entries.append(ReportEntry("unit", "PASS"))
-    else:
-        witness = (
-            format_element(phi.apply(ident)) if phi.covers(ident) else "1 not in span"
-        )
-        entries.append(ReportEntry("unit", "FAIL", witness))
+    image = phi.apply(ident) if phi.covers(ident) else None
+    witness = "1 not in span" if image is None else format_element(image)
+    entries = [ReportEntry.of("unit", image == phi.target.identity(), witness)]
     lam = GaussScalar.of(2) / GaussScalar.of(3)
     for idx, (a, b) in enumerate(samples):
         tag = f"pair {idx}"
@@ -417,29 +417,22 @@ def verify_jordan(
         except NotInSpan:
             entries.append(ReportEntry(f"linearity {tag}", "SKIP", "sample outside span"))
             continue
-        if phi.apply(a + b) == fa + fb and phi.apply(a.scale(lam)) == fa.scale(lam):
-            entries.append(ReportEntry(f"linearity {tag}", "PASS"))
-        else:
-            entries.append(ReportEntry(f"linearity {tag}", "FAIL", format_element(a)))
+        ok = phi.apply(a + b) == fa + fb and phi.apply(a.scale(lam)) == fa.scale(lam)
+        entries.append(ReportEntry.of(f"linearity {tag}", ok, format_element(a)))
         if phi.covers(a.star()):
-            if phi.apply(a.star()) == fa.star():
-                entries.append(ReportEntry(f"involution {tag}", "PASS"))
-            else:
-                entries.append(ReportEntry(f"involution {tag}", "FAIL", format_element(a)))
+            ok = phi.apply(a.star()) == fa.star()
+            entries.append(ReportEntry.of(f"involution {tag}", ok, format_element(a)))
         else:
             entries.append(ReportEntry(f"involution {tag}", "SKIP", "a* outside span"))
         prod = jordan_product(a, b)
         if phi.covers(prod):
-            if phi.apply(prod) == jordan_product(fa, fb):
-                entries.append(ReportEntry(f"jordan-product {tag}", "PASS"))
-            else:
-                entries.append(
-                    ReportEntry(
-                        f"jordan-product {tag}",
-                        "FAIL",
-                        f"a={format_element(a)}; b={format_element(b)}",
-                    )
+            entries.append(
+                ReportEntry.of(
+                    f"jordan-product {tag}",
+                    phi.apply(prod) == jordan_product(fa, fb),
+                    f"a={format_element(a)}; b={format_element(b)}",
                 )
+            )
         else:
             entries.append(
                 ReportEntry(f"jordan-product {tag}", "SKIP", "product outside span")

@@ -449,63 +449,82 @@ def char_poly(m: Matrix) -> list[GaussScalar]:
 
 
 def rational_root_split(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """All roots (with multiplicity) of a rational polynomial that splits over Q.
-
-    Raises NonRationalSpectrum if some factor has no rational root.
+    """All roots (with multiplicity) of a rational polynomial that splits over Q,
+    ascending.  Raises NonRationalSpectrum if some factor has no rational root.
     """
     poly = [Fraction(c) for c in coeffs]
     while len(poly) > 1 and poly[0] == 0:
         poly = poly[1:]
     roots: list[Fraction] = []
-    while len(poly) > 1:
-        root = _find_rational_root(poly)
-        if root is None:
-            raise NonRationalSpectrum(
-                f"polynomial {poly} has no rational root; only rational spectra "
-                "are supported"
-            )
-        roots.append(root)
-        poly = _deflate(poly, root)
-    return sorted(roots)
+    for root in _rational_roots(poly) if len(poly) > 1 else ():
+        while not (division := _poly_divmod(poly, [1, -root]))[1]:
+            roots.append(root)
+            poly = division[0]
+    if len(poly) > 1:
+        raise NonRationalSpectrum(
+            f"polynomial {poly} has no rational root; only rational spectra "
+            "are supported"
+        )
+    return roots
 
 
-def _find_rational_root(poly: Sequence[Fraction]) -> Fraction | None:
-    if poly[-1] == 0:
-        return Fraction(0)
-    scale = math.lcm(*(c.denominator for c in poly))
-    ints = [int(c * scale) for c in poly]
-    lead, const = ints[0], ints[-1]
-    for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _poly_eval(poly, cand) == 0:
-                    return cand
-    return None
+def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
+    """The distinct rational roots of poly, ascending, without enumerating
+    divisors.  Let L lead the primitive integer multiple of poly's
+    square-free part: a rational root's denominator divides L, and two such
+    fractions differ by at least 1/L^2.  The Sturm chain counts the real
+    roots in (lo, hi] as V(lo) - V(hi), also where lo or hi is a root, so
+    bisection isolates each in an interval narrower than 1/(2L^2), where
+    the nearest fraction with denominator at most L is the only candidate."""
+    chain = _sturm_chain(poly)
+    if len(chain[-1]) > 1:  # gcd(poly, poly'): divide out repeated factors
+        poly = _poly_divmod(poly, chain[-1])[0]
+        chain = _sturm_chain(poly)
+    # Positive integer multiples have the chain's signs everywhere, and so
+    # has 2^(k deg) p(n / 2^k), an integer, at a point n / 2^k.
+    chain = [[int(c * math.lcm(*(x.denominator for x in p))) for c in p] for p in chain]
+    lead = abs(chain[0][0]) // math.gcd(*chain[0])
+    bound = 2 + max(abs(c) for c in chain[0][1:]) // abs(chain[0][0])  # Cauchy
+
+    def changes(n: int, k: int) -> int:
+        values = (
+            sum(c * n ** (len(p) - 1 - i) << k * i for i, c in enumerate(p))
+            for p in chain
+        )
+        signs = [v > 0 for v in values if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    roots = []
+    intervals = [(-bound, bound, 0, changes(-bound, 0), changes(bound, 0))]
+    while intervals:
+        lo, hi, k, v_lo, v_hi = intervals.pop()  # (lo / 2^k, hi / 2^k]
+        count = v_lo - v_hi
+        if count > 1 or (count and (hi - lo) * 2 * lead * lead >= 1 << k):
+            mid, v_mid = lo + hi, changes(lo + hi, k + 1)
+            intervals.append((mid, 2 * hi, k + 1, v_mid, v_hi))
+            intervals.append((2 * lo, mid, k + 1, v_lo, v_mid))
+        elif count:
+            root = Fraction(lo + hi, 1 << (k + 1)).limit_denominator(lead)
+            if lo < root * (1 << k) <= hi and not _poly_divmod(poly, [1, -root])[1]:
+                roots.append(root)
+    return roots
 
 
-def _poly_eval(poly: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in poly:
-        acc = acc * x + c
-    return acc
+def _sturm_chain(poly: list[Fraction]) -> list[list[Fraction]]:
+    """poly, poly', then Euclid's negated remainders, down to gcd(poly, poly')."""
+    chain = [poly, [c * (len(poly) - 1 - i) for i, c in enumerate(poly[:-1])]]
+    while remainder := _poly_divmod(chain[-2], chain[-1])[1]:
+        chain.append([-c for c in remainder])
+    return chain
 
 
-def _deflate(poly: Sequence[Fraction], root: Fraction) -> list[Fraction]:
-    out = [poly[0]]
-    for c in poly[1:-1]:
-        out.append(c + root * out[-1])
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _poly_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """Quotient and remainder (without leading zeros) of a by b, b[0] != 0;
+    coefficients highest degree first."""
+    rest, quotient = list(a), []
+    while len(rest) >= len(b):
+        quotient.append(rest[0] / b[0])
+        rest = [r - quotient[-1] * c for r, c in zip(rest[1:], b[1:])] + rest[len(b) :]
+    while rest and rest[0] == 0:
+        rest.pop(0)
+    return quotient, rest

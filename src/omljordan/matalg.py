@@ -32,7 +32,7 @@ from .linalg import (
     rref,
     same_span,
 )
-from .poset import ParseError, Poset, verify_poset
+from .poset import ParseError, Poset, check_identifiers, content_lines, verify_poset
 
 ScalarLike = Union[GaussScalar, Fraction, int]
 
@@ -275,11 +275,10 @@ def proj_leq(p: Projection, q: Projection) -> bool:
 
 class ProjectionAlgebra(NamedTuple):
     """A partition's Boolean algebra of projections: the subset sums of its
-    atoms and their sort keys, both indexed by bitmask, and the key set."""
+    atoms and their sort keys, both indexed by bitmask."""
 
     projections: list[Projection]
     keys: list[tuple]
-    key_set: frozenset
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,8 +292,7 @@ class PartitionOfUnity:
     @cached_property
     def projection_algebra(self) -> ProjectionAlgebra:
         projections = [_trusted_projection(s) for s in _subset_sums(self)]
-        keys = [p.sort_key() for p in projections]
-        return ProjectionAlgebra(projections, keys, frozenset(keys))
+        return ProjectionAlgebra(projections, [p.sort_key() for p in projections])
 
     def key(self):
         return tuple(sorted(a.sort_key() for a in self.atoms))
@@ -353,7 +351,7 @@ def coarsens(p: PartitionOfUnity, q: PartitionOfUnity) -> bool:
     is included in q's): every atom key of p is a subset-sum key of q."""
     if p.algebra != q.algebra:
         raise ParentMismatch("partitions of different algebras")
-    keys = q.projection_algebra.key_set
+    keys = set(q.projection_algebra.keys)
     return all(atom.sort_key() in keys for atom in p.atoms)
 
 
@@ -604,10 +602,28 @@ def atoms_of_abelian_basis(basis: Sequence[AlgElement]) -> PartitionOfUnity:
     return partition_of_unity(algebra, current)
 
 
+class ProjectionIndex(NamedTuple):
+    """A fragment's distinct projections in (rank, sort_key) order, the order
+    projection_oml labels by, with each sort key's position; per member, an
+    int mask of its projections' positions and its atoms' positions."""
+
+    projections: list[Projection]
+    position: dict[tuple, int]
+    masks: dict[str, int]
+    atoms: dict[str, tuple[int, ...]]
+
+
 @dataclass(frozen=True, eq=False)
 class AbelianFragment:
     """A named finite family of partitions of unity, standing for finite
-    abelian subalgebras (each subalgebra is the span of its atoms)."""
+    abelian subalgebras (each subalgebra is the span of its atoms).
+
+    Its projection index is built once, on first use, from the roots only:
+    members are taken by atom count, largest first.  A member whose atoms
+    all lie in an earlier root's projection algebra lies below that root, so
+    its atoms are cell sums of the root's atoms and its projections are the
+    unions of those cells; any other member is a root and reads its own
+    cached projection algebra.  Non-root members never build subset sums."""
 
     algebra: FinDimAlgebra
     partitions: Mapping[str, PartitionOfUnity]
@@ -618,29 +634,47 @@ class AbelianFragment:
     def __len__(self) -> int:
         return len(self.partitions)
 
+    @cached_property
+    def index(self) -> ProjectionIndex:
+        parts = self.partitions
+        roots: list[tuple[ProjectionAlgebra, dict[tuple, int]]] = []
+        # each member's root, and its atoms as cells: masks over the root's atoms
+        found: dict[str, tuple[int, list[int]]] = {}
+        for name in sorted(parts, key=lambda n: (-len(parts[n]), n)):
+            keys = [a.sort_key() for a in parts[name].atoms]
+            for r, (_, cell) in enumerate(roots):
+                if all(k in cell for k in keys):
+                    break
+            else:
+                r = len(roots)
+                table = parts[name].projection_algebra
+                roots.append((table, {k: m for m, k in enumerate(table.keys)}))
+            found[name] = (r, [roots[r][1][k] for k in keys])
+        distinct = {k: p for t, _ in roots for k, p in zip(t.keys, t.projections)}
+        ranked = sorted(distinct, key=lambda k: (distinct[k].rank(), k))
+        position = {k: i for i, k in enumerate(ranked)}
+        at = [[position[k] for k in t.keys] for t, _ in roots]
+        masks, atoms = {}, {}
+        for name in parts:
+            r, cells = found[name]
+            unions = [0]
+            for c in cells:
+                unions += [u | c for u in unions]
+            masks[name] = sum(1 << at[r][u] for u in unions)
+            atoms[name] = tuple(at[r][c] for c in cells)
+        return ProjectionIndex([distinct[k] for k in ranked], position, masks, atoms)
+
     def projections(self) -> list[Projection]:
-        """Union of the Boolean projection algebras of all partitions."""
-        seen: dict[tuple, Projection] = {}
-        for part in self.partitions.values():
-            table = part.projection_algebra
-            seen.update(zip(table.keys, table.projections))
-        return [seen[k] for k in sorted(seen)]
-
-
-def _merges(p: PartitionOfUnity):
-    """Every merge of p's atoms, in set_partitions order, as its partition
-    key and its cells' atom sums, looked up by bitmask in p's projection
-    algebra; no merge is re-validated: merged cells of a partition form one."""
-    sums, keys, _ = p.projection_algebra
-    for cells in set_partitions(range(len(p.atoms))):
-        masks = [sum(1 << i for i in cell) for cell in cells]
-        yield tuple(sorted(keys[m] for m in masks)), [sums[m] for m in masks]
+        """Union of the members' Boolean projection algebras, in sort_key order."""
+        index = self.index
+        return [p for _, p in sorted(zip(index.position, index.projections))]
 
 
 def fragment(
     algebra: FinDimAlgebra, named: Mapping[str, PartitionOfUnity]
 ) -> AbelianFragment:
     parts = dict(named)
+    check_identifiers(parts)
     for name, p in parts.items():
         if p.algebra != algebra:
             raise ParentMismatch(f"partition {name!r} lives in a different algebra")
@@ -660,11 +694,14 @@ def check_coarsening_closed(frag: AbelianFragment) -> Poset:
     members: a q <= p has atoms that are sums of p-atoms over disjoint cells.
     Members are distinct, so p's Bell(k) merges are all members iff Bell(k)
     members lie below p.  A member with more merges than the fragment has
-    members fails at once and stays out of the poset, so its 2^k subset sums
-    are never built; members below the others have fewer atoms, so stay in."""
+    members fails at once and stays out of the poset and its projection
+    index, so its 2^k subset sums are never built; members below the others
+    have fewer atoms, so stay in.  With none over, frag's own index is read."""
     parts = frag.partitions
     within = {n: p for n, p in parts.items() if bell_number(len(p)) <= len(frag)}
-    poset = fragment_poset(AbelianFragment(frag.algebra, within))
+    if len(within) < len(parts):
+        frag = AbelianFragment(frag.algebra, within)
+    poset = fragment_poset(frag)
     for name, p in parts.items():
         if name not in within or poset._down[name].bit_count() != bell_number(len(p)):
             raise InvalidFragment(
@@ -683,10 +720,16 @@ def coarsening_closure(
         raise InvalidFragment("a non-trivial partition is named 'trivial'")
     given = {p.key() for p in named.values()}
     generated: dict[tuple, PartitionOfUnity] = {}
+    # Each merge's cell sums are read by bitmask from p's projection algebra,
+    # and not re-validated: the merged cells of a partition form one.
     for p in named.values():
-        for key, cell_sums in _merges(p):
+        sums, keys = p.projection_algebra
+        for cells in set_partitions(range(len(p.atoms))):
+            masks = [sum(1 << i for i in cell) for cell in cells]
+            key = tuple(sorted(keys[m] for m in masks))
             if key not in given and key not in generated:
-                generated[key] = PartitionOfUnity(p.algebra, tuple(cell_sums))
+                cell_sums = tuple(sums[m] for m in masks)
+                generated[key] = PartitionOfUnity(p.algebra, cell_sums)
     triv = trivial_partition(algebra)
     if triv.key() not in given and triv.key() not in generated:
         generated[triv.key()] = triv
@@ -701,13 +744,13 @@ def coarsening_closure(
 
 def fragment_poset(frag: AbelianFragment) -> Poset:
     """Inclusion order on the fragment: P <= Q iff P coarsens Q, that is iff
-    Proj(P) is a subset of Proj(Q)."""
-    names = frag.names()
-    projs = {name: frag.partitions[name].projection_algebra.key_set for name in names}
-    pairs = [
-        (a, b) for a in names for b in names if a != b and projs[a] <= projs[b]
-    ]
-    return verify_poset(names, pairs)
+    Proj(P) is a subset of Proj(Q), an inclusion of masks in the projection
+    index.  Inclusion is reflexive and transitive, and distinct members have
+    distinct projection sets, so on the masks it is already a partial order:
+    no closure is taken.  Names were checked when fragment() built frag."""
+    masks = [(name, frag.index.masks[name]) for name in frag.names()]
+    pairs = ((a, b) for a, ma in masks for b, mb in masks if not ma & ~mb)
+    return Poset(frag.names(), frozenset(pairs))
 
 
 def is_type_I2_free(algebra: FinDimAlgebra) -> bool:
@@ -772,10 +815,7 @@ def parse_algebra_text(text: str) -> tuple[FinDimAlgebra, dict[str, PartitionOfU
             partitions[pending_name] = partition_of_unity(algebra, pending_atoms)
         pending_name, pending_atoms = None, []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("summands:"):
             if algebra is not None:
                 raise ParseError(f"line {lineno}: duplicate summands line")
@@ -837,42 +877,26 @@ def projection_oml(
     0 and 1.  Raises if the set is not closed under complements or does not
     form a lattice under the induced order.
     """
-    zero = algebra.zero()
     ident = algebra.identity()
     seen: dict[tuple, Projection] = {}
-    for p in projections:
+    for p in (*projections, as_projection(algebra.zero()), as_projection(ident)):
         seen.setdefault(p.sort_key(), p)
-    seen.setdefault(as_projection(zero).sort_key(), as_projection(zero))
-    seen.setdefault(as_projection(ident).sort_key(), as_projection(ident))
-    ordered = sorted(seen.values(), key=lambda p: (p.rank(), p.sort_key()))
-    labels: dict[tuple, str] = {}
-    counter = 0
-    for p in ordered:
-        if p.is_zero():
-            labels[p.sort_key()] = "0"
-        elif AlgElement(algebra, p.blocks) == ident:
-            labels[p.sort_key()] = "1"
-        else:
-            labels[p.sort_key()] = f"q{counter}"
-            counter += 1
-    for p in ordered:
-        comp_key = (ident - p).sort_key()
-        if comp_key not in labels:
-            raise InvalidFragment(
-                f"projection set is not complement-closed at {labels[p.sort_key()]}"
-            )
-    elements = [labels[p.sort_key()] for p in ordered]
+    # zero and the identity are the only projections of their ranks
+    ranked = sorted((p.rank(), k, p) for k, p in seen.items())
+    elements = ["0", *(f"q{i}" for i in range(len(ranked) - 2)), "1"]
+    labels = {k: x for (_, k, _), x in zip(ranked, elements)}
+    ortho = {}
+    for (_, _, p), x in zip(ranked, elements):
+        ortho[x] = labels.get((ident - p).sort_key())
+        if ortho[x] is None:
+            raise InvalidFragment(f"projection set is not complement-closed at {x}")
     # p < q forces rank p < rank q: if p <= q with equal ranks, q - p is a
     # projection of trace 0, so p = q
-    ranks = [p.rank() for p in ordered]
     pairs = [
         (x, y)
-        for x, p, rp in zip(elements, ordered, ranks)
-        for y, q, rq in zip(elements, ordered, ranks)
+        for (rp, _, p), x in zip(ranked, elements)
+        for (rq, _, q), y in zip(ranked, elements)
         if rp < rq and proj_leq(p, q)
     ]
-    order = verify_poset(elements, pairs)
-    ortho = {labels[p.sort_key()]: labels[(ident - p).sort_key()] for p in ordered}
-    lattice = omlmod.verify_oml(order, ortho)
-    by_label = {labels[p.sort_key()]: p for p in ordered}
-    return lattice, by_label
+    lattice = omlmod.verify_oml(verify_poset(elements, pairs), ortho)
+    return lattice, {x: p for (_, _, p), x in zip(ranked, elements)}

@@ -17,6 +17,7 @@ from .poset import (
     InvalidIdentifier,
     ParseError,
     Poset,
+    content_lines,
     image_mask,
     verify_poset,
 )
@@ -511,10 +512,7 @@ def parse_oml_text(text: str) -> Oml:
     elements: list[str] = []
     pairs: list[tuple[str, str]] = []
     ortho: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         tokens = line.split()
         if tokens[0] == "elements":
             elements.extend(tokens[1:])
@@ -551,10 +549,7 @@ def serialize_oml(lattice: Oml) -> str:
 def parse_greechie_text(text: str) -> GreechieDiagram:
     atoms: list[str] = []
     block_list: list[tuple[str, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         tokens = line.split()
         if tokens[0] == "atoms":
             atoms.extend(tokens[1:])

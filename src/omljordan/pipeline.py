@@ -52,8 +52,10 @@ from .poset import (
     NotGenerated,
     OrderIso,
     ParseError,
+    content_lines,
     extend_iso_via_ideals,
     finite_part,
+    image_mask,
     order_iso,
 )
 
@@ -117,21 +119,23 @@ def theorem_instance(
     """Validate fragments (trivial present, coarsening-closed) and f: an
     order-isomorphism of the fragment posets the closure proofs return.  It
     maps trivial to trivial, since the trivial member's projections {0, 1}
-    lie in every member's, which makes it the bottom of its fragment poset."""
-    posets = []
+    lie in every member's, which makes it the bottom of its fragment poset.
+    The instance keeps the validated fragments and their projection indexes."""
+    frags, posets = [], []
     for side, algebra, frag in (
         ("M", algebra_m, fragment_m),
         ("N", algebra_n, fragment_n),
     ):
         try:
-            posets.append(check_coarsening_closed(fragment(algebra, frag.partitions)))
+            frags.append(fragment(algebra, frag.partitions))
+            posets.append(check_coarsening_closed(frags[-1]))
         except Exception as exc:
             raise InvalidInstance(f"fragment {side} invalid: {exc}")
     try:
         f = order_iso(*posets, mapping)
     except Exception as exc:
         raise InvalidInstance(f"f is not an order-isomorphism: {exc}")
-    return TheoremInstance(algebra_m, algebra_n, fragment_m, fragment_n, f)
+    return TheoremInstance(algebra_m, algebra_n, *frags, f)
 
 
 def induced_instance(g: JordanMap, frag: AbelianFragment) -> TheoremInstance:
@@ -183,25 +187,19 @@ def execute(instance: TheoremInstance) -> PipelineRun:
     )
 
     # Step h: transport along S -> S n Proj through both projection OMLs.
-    lattice_m, by_label_m = projection_oml(
-        t.algebra_m, t.fragment_m.projections()
-    )
-    lattice_n, by_label_n = projection_oml(
-        t.algebra_n, t.fragment_n.projections()
-    )
+    # projection_oml's lattice lists the index's projections in index order
+    # (0 and 1 are in every fragment), so a member's BSub label is its mask's.
+    index_m, index_n = t.fragment_m.index, t.fragment_n.index
+    lattice_m, by_label_m = projection_oml(t.algebra_m, index_m.projections)
+    lattice_n, by_label_n = projection_oml(t.algebra_n, index_n.projections)
     run.lattice_m, run.lattice_n = lattice_m, lattice_n
-    run.label_to_proj_m = dict(by_label_m)
-    run.label_to_proj_n = dict(by_label_n)
-    proj_to_label_m = {p.sort_key(): lab for lab, p in by_label_m.items()}
-    proj_to_label_n = {p.sort_key(): lab for lab, p in by_label_n.items()}
+    run.label_to_proj_m, run.label_to_proj_n = by_label_m, by_label_n
     bsub_m = boolean_subalgebras(lattice_m)
     bsub_n = boolean_subalgebras(lattice_n)
     h_mapping: dict[str, str] = {}
     for name in t.fragment_m.names():
-        keys_m = t.fragment_m.partitions[name].projection_algebra.key_set
-        keys_n = t.fragment_n.partitions[g.apply(name)].projection_algebra.key_set
-        src = subalgebra_label(proj_to_label_m[k] for k in keys_m)
-        dst = subalgebra_label(proj_to_label_n[k] for k in keys_n)
+        src = subalgebra_label(lattice_m.order.members(index_m.masks[name]))
+        dst = subalgebra_label(lattice_n.order.members(index_n.masks[g.apply(name)]))
         # distinct members are distinct partitions, so their labels differ
         h_mapping[src] = dst
     h_source = bsub_m.restrict(sorted(h_mapping.keys()))
@@ -293,40 +291,34 @@ def verify_claims(instance: TheoremInstance, F: JordanMap) -> Report:
     subalgebras have equal spans."""
     t = instance
     entries: list[ReportEntry] = []
-    # Members share projections: F is applied once per distinct projection.
-    images: dict[tuple, AlgElement] = {}
+    index_m, index_n = t.fragment_m.index, t.fragment_n.index
+    # F is applied once per index position and each image looked up once in
+    # N's index; one outside it takes a position that no member of N holds.
+    images = [F.apply(p) for p in index_m.projections]
+    outside = len(index_n.projections)
+    image_bits = [1 << index_n.position.get(q.sort_key(), outside) for q in images]
     for name in t.fragment_m.names():
-        part = t.fragment_m.partitions[name]
-        image_part = t.fragment_n.partitions[t.f.apply(name)]
-        projs, keys, _ = part.projection_algebra
-        for key, p in zip(keys, projs):
-            if key not in images:
-                images[key] = F.apply(p)
-        mapped_keys = {images[key].sort_key() for key in keys}
-        if mapped_keys == image_part.projection_algebra.key_set:
-            entries.append(ReportEntry(f"claim1[{name}]", "PASS"))
-        else:
-            entries.append(
-                ReportEntry(
-                    f"claim1[{name}]",
-                    "FAIL",
-                    "projection sets of f(S) and F[S] differ",
-                )
+        image_name = t.f.apply(name)
+        same = image_mask(index_m.masks[name], image_bits) == index_n.masks[image_name]
+        entries.append(
+            ReportEntry.of(
+                f"claim1[{name}]", same, "projection sets of f(S) and F[S] differ"
             )
-        atom_images = [images[keys[1 << i]] for i in range(len(part))]
+        )
+        atom_images = [images[i] for i in index_m.atoms[name]]
         try:
             partition_of_unity(t.algebra_n, atom_images)
-            entries.append(ReportEntry(f"claim2[{name}]", "PASS"))
+            entries.append(ReportEntry.of(f"claim2[{name}]", True))
         except Exception as exc:
-            entries.append(ReportEntry(f"claim2[{name}]", "FAIL", str(exc)))
-        if spans_equal(atom_images, list(image_part.atoms)):
-            entries.append(ReportEntry(f"claim3[{name}]", "PASS"))
-        else:
-            entries.append(
-                ReportEntry(
-                    f"claim3[{name}]", "FAIL", "generated subalgebras differ"
-                )
+            entries.append(ReportEntry.of(f"claim2[{name}]", False, str(exc)))
+        image_atoms = list(t.fragment_n.partitions[image_name].atoms)
+        entries.append(
+            ReportEntry.of(
+                f"claim3[{name}]",
+                spans_equal(atom_images, image_atoms),
+                "generated subalgebras differ",
             )
+        )
     return Report(entries)
 
 
@@ -334,59 +326,36 @@ def verify_uniqueness(instance: TheoremInstance, F: JordanMap) -> Report:
     """(a) the reconstruction step of the instance's single run has
     exactly one solution; (b) the fragment projections span F's domain, so
     any map agreeing with F on them agrees on the whole span."""
-    entries: list[ReportEntry] = []
-    run = instance.run
-    count = len(run.reconstruction_candidates)
-    if count == 1:
-        entries.append(ReportEntry("unique-reconstruction", "PASS"))
-    else:
-        witness = "; ".join(
-            str(dict(k.mapping)) for k in run.reconstruction_candidates
+    candidates = instance.run.reconstruction_candidates
+    witness = "; ".join(str(dict(k.mapping)) for k in candidates)
+    entries = [
+        ReportEntry.of(
+            "unique-reconstruction",
+            len(candidates) == 1,
+            f"{len(candidates)} candidates: {witness}",
         )
-        entries.append(
-            ReportEntry(
-                "unique-reconstruction",
-                "FAIL",
-                f"{count} candidates: {witness}",
-            )
-        )
-    # the fragment projections: projection_oml adds 0 and 1, which every
-    # partition's projections hold already
+    ]
     projections = [
-        AlgElement(p.algebra, p.blocks) for p in run.label_to_proj_m.values()
+        AlgElement(p.algebra, p.blocks) for p in instance.fragment_m.index.projections
     ]
     span_dim = F.span_dimension()
     proj_rank = rank([list(p.vec()) for p in projections])
-    if proj_rank == span_dim:
-        entries.append(ReportEntry("projections-span-domain", "PASS"))
-    else:
-        entries.append(
-            ReportEntry(
-                "projections-span-domain",
-                "FAIL",
-                f"projection rank {proj_rank} != span dimension {span_dim}",
-            )
+    entries.append(
+        ReportEntry.of(
+            "projections-span-domain",
+            proj_rank == span_dim,
+            f"projection rank {proj_rank} != span dimension {span_dim}",
         )
+    )
     try:
-        rebuilt = jordan_map(
-            F.source,
-            F.target,
-            [(p, F.apply(p)) for p in reversed(projections)],
-        )
-        if rebuilt.agrees_with(F):
-            entries.append(ReportEntry("agreement-on-projections-determines", "PASS"))
-        else:
-            entries.append(
-                ReportEntry(
-                    "agreement-on-projections-determines",
-                    "FAIL",
-                    "a second extension from the projections disagrees",
-                )
-            )
+        generators = [(p, F.apply(p)) for p in reversed(projections)]
+        agrees = jordan_map(F.source, F.target, generators).agrees_with(F)
+        witness = "a second extension from the projections disagrees"
     except Exception as exc:
-        entries.append(
-            ReportEntry("agreement-on-projections-determines", "FAIL", str(exc))
-        )
+        agrees, witness = False, str(exc)
+    entries.append(
+        ReportEntry.of("agreement-on-projections-determines", agrees, witness)
+    )
     return Report(entries)
 
 
@@ -403,10 +372,7 @@ def parse_instance_text(text: str, base_dir: Path) -> TheoremInstance:
     algebra_paths: dict[str, Path] = {}
     fragment_names: dict[str, list[str]] = {"M": [], "N": []}
     fmap: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         tokens = line.split()
         if tokens[0] == "algebra":
             if len(tokens) != 3 or tokens[1] not in ("M", "N"):

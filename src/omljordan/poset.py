@@ -10,7 +10,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class CycleError(Exception):
@@ -97,7 +97,12 @@ class Poset:
 
     def members(self, mask: int) -> tuple[str, ...]:
         """The elements whose bits are set in mask, in element order."""
-        return tuple(z for i, z in enumerate(self.elements) if mask >> i & 1)
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.elements[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def mask(self, xs: Iterable[str]) -> int:
         """The bitset of the elements of xs (unknown ones are dropped)."""
@@ -163,13 +168,8 @@ def image_mask(mask: int, bits: Sequence[int]) -> int:
     return out
 
 
-def verify_poset(
-    elements: Sequence[str], pairs: Iterable[tuple[str, str]]
-) -> Poset:
-    """Build a Poset from generator pairs, taking the reflexive-transitive closure.
-
-    Rejects duplicate or malformed identifiers and antisymmetry violations.
-    """
+def check_identifiers(elements: Iterable[str]) -> None:
+    """Reject an empty, whitespace-holding or repeated element identifier."""
     seen = set()
     for e in elements:
         if not e or any(c.isspace() for c in e):
@@ -177,6 +177,16 @@ def verify_poset(
         if e in seen:
             raise DuplicateElement(e)
         seen.add(e)
+
+
+def verify_poset(
+    elements: Sequence[str], pairs: Iterable[tuple[str, str]]
+) -> Poset:
+    """Build a Poset from generator pairs, taking the reflexive-transitive closure.
+
+    Rejects duplicate or malformed identifiers and antisymmetry violations.
+    """
+    check_identifiers(elements)
     elems = tuple(elements)
     bit = {e: 1 << i for i, e in enumerate(elems)}
     up = dict(bit)
@@ -361,11 +371,16 @@ def is_ideal(p: Poset, members: Iterable[str]) -> bool:
     """A downset (no member's down-mask leaves the members' mask) in which
     every pair's join, an AND of up-masks and a lookup, is a member."""
     mem = frozenset(members)
-    mask = p.mask(mem)
-    if not p._bit.keys() >= mem or any(p._down[x] & ~mask for x in mem):
+    return p._bit.keys() >= mem and _is_ideal_mask(p, mem, p.mask(mem))
+
+
+def _is_ideal_mask(p: Poset, members: Iterable[str], mask: int) -> bool:
+    """is_ideal on members of p given with their mask over p's bits."""
+    if any(p._down[x] & ~mask for x in members):
         return False
-    pairs = itertools.combinations([p._up[x] for x in mem], 2)
-    return mem.issuperset(map(p._by_up.get, itertools.starmap(operator.and_, pairs)))
+    pairs = itertools.combinations([p._up[x] for x in members], 2)
+    joins = set(map(p._by_up.get, itertools.starmap(operator.and_, pairs)))
+    return all(p._bit.get(j, 0) & mask for j in joins)
 
 
 def ideals(p: Poset) -> list[Ideal]:
@@ -420,11 +435,15 @@ def extend_iso_via_ideals(mu: OrderIso, p: Poset, q: Poset) -> OrderIso:
 
 
 def _extend_one_way(mu: OrderIso, p: Poset, q: Poset) -> dict[str, str]:
-    finite = p.mask(mu.source.elements)
+    # mu.source may give its elements other bits than p does
+    source = mu.source
+    finite = p.mask(source.elements)
+    to_source = [source._bit.get(x, 0) for x in p.elements]
     out: dict[str, str] = {}
     for x in p.elements:
-        below = p.members(p._down[x] & finite)
-        if not is_ideal(mu.source, below):
+        mask = p._down[x] & finite
+        below = p.members(mask)
+        if not _is_ideal_mask(source, below, image_mask(mask, to_source)):
             raise NotAnIdeal(
                 f"downset of {x} in the finite part is not an ideal"
             )
@@ -455,13 +474,18 @@ def _expect_induced_subposet(sub: Poset, parent: Poset) -> None:
 # ---------------------------------------------------------------------------
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line left nonblank once `#` comments go."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_poset_text(text: str) -> Poset:
     elements: list[str] = []
     pairs: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         tokens = line.split()
         if tokens[0] == "elements":
             elements.extend(tokens[1:])

@@ -45,6 +45,7 @@ from .poset import (
     OrderIso,
     ParseError,
     Poset,
+    content_lines,
     extends_order_iso,
     order_iso,
 )
@@ -407,10 +408,7 @@ def certify_unique(iso: BsubIso) -> OmlIso:
 def parse_bsub_iso_text(left: Oml, right: Oml, text: str) -> BsubIso:
     subs: dict[str, frozenset[str]] = {}
     map_pairs: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         tokens = line.split(None, 1)
         if tokens[0] == "sub":
             try:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -240,3 +241,47 @@ def test_rational_root_split_multiplicity():
         [Fraction(1), Fraction(-5, 2), Fraction(2), Fraction(-1, 2)]
     )
     assert sorted(roots) == [Fraction(1, 2), Fraction(1), Fraction(1)]
+
+
+def test_rational_root_split_large_denominators():
+    """Roots 1/(10^9+7) and 1/(10^9+9): the integer polynomial's leading
+    coefficient is about 10^18, and no divisor of it is enumerated."""
+    a, b = Fraction(1, 10**9 + 7), Fraction(1, 10**9 + 9)
+    start = time.perf_counter()
+    roots = rational_root_split([Fraction(1), -(a + b), a * b])
+    assert time.perf_counter() - start < 1.0
+    assert roots == [b, a]
+
+
+def _poly_from_roots(lead, roots, extra=()):
+    """lead * prod (x - r) * prod extra, coefficients highest degree first."""
+    poly = [lead]
+    for factor in [[Fraction(1), -r] for r in roots] + list(extra):
+        out = [Fraction(0)] * (len(poly) + len(factor) - 1)
+        for i, c in enumerate(poly):
+            for j, d in enumerate(factor):
+                out[i + j] += c * d
+        poly = out
+    return poly
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=5
+    ),
+    st.sampled_from([(), ([1, 0, 1],), ([1, 0, -2],), ([3, -1, -1],)]),
+)
+def test_rational_root_split_matches_factors(lead, roots, extra):
+    """A product of linear factors splits into its roots, with
+    multiplicity and ascending; a factor without rational roots (x^2+1,
+    x^2-2, 3x^2-x-1) raises NonRationalSpectrum."""
+    poly = _poly_from_roots(
+        lead, roots, [[Fraction(c) for c in f] for f in extra]
+    )
+    if extra:
+        with pytest.raises(NonRationalSpectrum):
+            rational_root_split(poly)
+    else:
+        assert rational_root_split(poly) == sorted(roots)

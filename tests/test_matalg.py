@@ -49,6 +49,7 @@ from .conftest import (
     random_element,
     rng,
     rotation_unitary,
+    three_partition_fragment,
 )
 from .oracles import (
     coarsens_by_products,
@@ -417,12 +418,18 @@ def test_partition_orthogonality_matches_product_oracle(m31):
     }
 
 
-@pytest.mark.parametrize("dims", [(3, 1), (2, 2)], ids=["(3,1)", "(2,2)"])
-def test_fragment_layer_matches_product_oracle(dims):
+FRAGMENT_CASES = {
+    "(3,1)": lambda: diag_plus_rotated_fragment(FinDimAlgebra((3, 1))),
+    "(2,2)": lambda: diag_plus_rotated_fragment(FinDimAlgebra((2, 2))),
+    "three-partition": lambda: three_partition_fragment(FinDimAlgebra((3,))),
+}
+
+
+@pytest.mark.parametrize("case", list(FRAGMENT_CASES))
+def test_fragment_layer_matches_product_oracle(case):
     """coarsens and fragment_poset agree with coarsening by matrix products,
     and every psi_project output is a projection by matrix products."""
-    algebra = FinDimAlgebra(dims)
-    frag = diag_plus_rotated_fragment(algebra)
+    frag = FRAGMENT_CASES[case]()
     relation = set()
     for a in frag.names():
         part = frag.partitions[a]
@@ -435,6 +442,26 @@ def test_fragment_layer_matches_product_oracle(dims):
             if expected:
                 relation.add((a, b))
     assert fragment_poset(frag).relation == relation
+
+
+@pytest.mark.parametrize("case", list(FRAGMENT_CASES))
+def test_projection_index_matches_psi_project(case):
+    """Each member's mask is its psi_project key set mapped to index
+    positions, and its atom positions hold its atoms; the index lists the
+    projections in the order projection_oml lists its lattice's elements,
+    0 first, 1 last and q0, q1, ... between."""
+    frag = FRAGMENT_CASES[case]()
+    index = frag.index
+    assert list(index.position) == [p.sort_key() for p in index.projections]
+    assert list(index.position.values()) == list(range(len(index.projections)))
+    for name, part in frag.partitions.items():
+        positions = [index.position[p.sort_key()] for p in psi_project(part)]
+        assert index.masks[name] == sum(1 << i for i in positions)
+        assert [index.projections[i] for i in index.atoms[name]] == list(part.atoms)
+    lattice, by_label = projection_oml(frag.algebra, frag.projections())
+    count = len(index.projections)
+    assert lattice.elements == ("0", *(f"q{i}" for i in range(count - 2)), "1")
+    assert [by_label[x] for x in lattice.elements] == index.projections
 
 
 def test_order_tests_reject_other_algebras(m3, m31):

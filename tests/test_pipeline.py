@@ -334,10 +334,11 @@ def test_instance_validation_builds_no_merges(m3, monkeypatch):
 
 def test_chain_runs_once_per_instance(tmp_path, m3, monkeypatch):
     """One induced_instance round trip builds the image fragment once, each
-    fragment poset once, proves each fragment closed once and builds each
-    partition's subset sums once, and run_pipeline and both reports share
-    one execute; the CLI verb runs the chain once, proves closure once per
-    fragment and builds each parsed partition's subset sums once."""
+    fragment poset once, proves each fragment closed once and builds subset
+    sums once per root partition (a maximal member) and for no other
+    member, and run_pipeline and both reports share one execute; the CLI
+    verb runs the chain once, proves closure once per fragment and builds
+    each parsed root partition's subset sums once."""
     from omljordan import cli, jordan, matalg, pipeline
 
     counted = (
@@ -368,13 +369,16 @@ def test_chain_runs_once_per_instance(tmp_path, m3, monkeypatch):
     F = run_pipeline(instance)
     assert verify_claims(instance, F).passed
     assert verify_uniqueness(instance, F).passed
-    partitions = len(instance.fragment_m) + len(instance.fragment_n)
+    roots = len(instance.f.source.maximal_elements()) + len(
+        instance.f.target.maximal_elements()
+    )
+    assert roots == 4  # diag and rot on each side
     assert calls == {
         "execute": 1,
         "fragment_poset": 2,
         "check_coarsening_closed": 2,
         "image_fragment": 1,
-        "_subset_sums": partitions,
+        "_subset_sums": roots,
     }
 
     path = write_instance_files(tmp_path, "rot", instance)
@@ -382,4 +386,4 @@ def test_chain_runs_once_per_instance(tmp_path, m3, monkeypatch):
     assert cli.main(["pipeline", str(path)]) == 0
     assert calls["execute"] == 1
     assert calls["check_coarsening_closed"] == 2
-    assert calls["_subset_sums"] == partitions
+    assert calls["_subset_sums"] == roots

@@ -13,6 +13,7 @@ from omljordan.poset import (
     NotGenerated,
     NotOrderIso,
     NotSubposet,
+    OrderIso,
     ParseError,
     Poset,
     UnknownElement,
@@ -214,6 +215,42 @@ def test_induced_subposet_check_matches_relation_scan(data):
     assert str(exc.value) == (
         f"induced order differs from parent at ({failure[0]}, {failure[1]})"
     )
+
+
+@st.composite
+def posets_with_induced_parts(draw):
+    """A random poset p and its induced subposet on a random subset."""
+    p = draw(random_posets())
+    subset = draw(st.lists(st.sampled_from(p.elements), unique=True)) if p else []
+    return p, p.restrict(subset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets_with_induced_parts())
+def test_extension_of_identity_leaves_at_most_the_bottom_outside(data):
+    """At finite scale, extending the identity on an induced part F of p
+    succeeds only when every element outside F is p's bottom, and it then
+    returns the identity.  A nonempty finite set closed under pairwise joins
+    has a largest element, so an x outside F that is the join of its
+    downset in F has an empty downset there: x is the join of nothing."""
+    p, part = data
+    mu = OrderIso(part, part, {x: x for x in part.elements})
+    try:
+        bar = extend_iso_via_ideals(mu, p, p)
+    except (NotAnIdeal, NotGenerated, JoinMissing, NotOrderIso):
+        return
+    assert all(x == p.bottom() for x in p.elements if x not in part.elements)
+    assert dict(bar.mapping) == {x: x for x in p.elements}
+
+
+def test_extension_over_the_empty_ideal():
+    """On the chain a < b < c with F = {b, c}, a's downset in F is the empty
+    ideal, whose join is the bottom a: the extension is the identity."""
+    p = verify_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    part = p.restrict(["b", "c"])
+    mu = OrderIso(part, part, {"b": "b", "c": "c"})
+    bar = extend_iso_via_ideals(mu, p, p)
+    assert dict(bar.mapping) == {"a": "a", "b": "b", "c": "c"}
 
 
 @st.composite
