@@ -14,15 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .linalg import (
-    GaussRow,
-    GaussScalar,
-    Vector,
-    echelon,
-    from_gauss_row,
-    gauss_row,
-    reduce_echelon,
-)
+from .linalg import GaussRow, GaussScalar, echelon, reduce_echelon
 from .matalg import (
     AbelianFragment,
     AlgElement,
@@ -32,9 +24,10 @@ from .matalg import (
     ParentMismatch,
     Projection,
     SpectralElement,
+    as_projection,
     format_element,
     fragment,
-    from_vec,
+    from_row,
     jordan_product,
     partition_of_unity,
     proj_leq,
@@ -90,7 +83,7 @@ def proj_map_fragment(
     for dom, img in pairs:
         if dom.algebra != source or img.algebra != target:
             raise InvalidProjMap("pair from the wrong algebra")
-        dom_key, img_key = dom.sort_key(), img.sort_key()
+        dom_key, img_key = dom.key(), img.key()
         if dom_key in by_key:
             raise InvalidProjMap("domain projection listed twice")
         if img_key in seen_img:
@@ -101,7 +94,7 @@ def proj_map_fragment(
     src_ident = source.identity()
     dst_ident = target.identity()
     for dom, img in pair_list:
-        comp_img = by_key.get((src_ident - dom).sort_key())
+        comp_img = by_key.get((src_ident - dom).key())
         if comp_img is None:
             raise InvalidProjMap("domain is not closed under complements")
         if comp_img != dst_ident - img:
@@ -123,7 +116,7 @@ SparseRows = tuple[int, tuple[tuple[tuple[int, int, int], ...], ...]]
 
 
 def _sparse_rows(elements: Iterable[AlgElement]) -> SparseRows:
-    scaled = [gauss_row(e.vec()) for e in elements]
+    scaled = [e.row() for e in elements]
     d = math.lcm(*(dj for dj, _ in scaled))
     return d, tuple(
         tuple(
@@ -185,7 +178,7 @@ class JordanMap:
         """(e, [(j, re, im), ...]): the coordinate of x on basis element j
         is (re + i*im) / e, zero where j is not listed; None when x is
         outside the span."""
-        dx, (xr, xi) = gauss_row(x.vec())
+        dx, (xr, xi) = x.row()
         # matrix units and projections are sparse: sum over nonzero entries only
         support = [(i, u, v) for i, (u, v) in enumerate(zip(xr, xi)) if u or v]
         d, solver = self._coords
@@ -215,7 +208,7 @@ class JordanMap:
         e, coeffs = coords
         di, image_rows = self._image_rows
         out = _combination(coeffs, image_rows, self.target.dimension)
-        return from_vec(self.target, from_gauss_row(out, e * di))
+        return from_row(self.target, e * di, out)
 
     def span_dimension(self) -> int:
         return len(self._basis)
@@ -236,20 +229,20 @@ class JordanMap:
 
 
 def _coordinate_solver(
-    vectors: Sequence[Vector],
+    scaled: Sequence[tuple[int, GaussRow]],
 ) -> tuple[list[int], tuple[int, tuple[GaussRow, ...]]]:
-    """The indices of a basis among the vectors (each vector that is not in
-    the span of the earlier ones) and the coordinate solver (d, P): P @ x / d
-    is the coordinate vector of x in that basis, for x in the span.
+    """The indices of a basis among the vectors row_j / s_j, given as the
+    pairs (s_j, row_j) (each vector that is not in the span of the earlier
+    ones) and the coordinate solver (d, P): P @ x / d is the coordinate
+    vector of x in that basis, for x in the span.
 
-    Row-reduce [V | I] over Gaussian integers, where V stacks the vectors,
-    each scaled by its denominator s_j, as columns: the pivot columns inside
-    V pick the basis, and the rows with those pivots, (N_r at column j_r |
-    Q_r), give the solver rows Q_r * s_(j_r) / N_r.
+    Row-reduce [V | I] over Gaussian integers, where V stacks the rows as
+    columns: the pivot columns inside V pick the basis, and the rows with
+    those pivots, (N_r at column j_r | Q_r), give the solver rows
+    Q_r * s_(j_r) / N_r.
     """
-    k = len(vectors)
-    scaled = [gauss_row(v) for v in vectors]
-    dim = len(vectors[0])
+    k = len(scaled)
+    dim = len(scaled[0][1][0])
     work = []
     for i in range(dim):
         re = [row[0][i] for _, row in scaled] + [0] * dim
@@ -281,7 +274,7 @@ def jordan_map(
     for g, img in generators:
         if g.algebra != source or img.algebra != target:
             raise ParentMismatch("generator pair from the wrong algebras")
-    pivots, coords = _coordinate_solver([g.vec() for g, _ in generators])
+    pivots, coords = _coordinate_solver([g.row() for g, _ in generators])
     basis = tuple(generators[j] for j in pivots)
     candidate = JordanMap(source, target, tuple(generators), basis, coords)
     for g, img in generators:
@@ -450,17 +443,16 @@ def decompose_jordan(
     (sums of summand identities) and a per-summand label.  One-dimensional
     summands count as iso by convention.
     """
-    unit_images: dict[Vector, AlgElement] = {}
+    unit_images: dict[tuple, AlgElement] = {}
     for u in phi.source.matrix_units():
         if not phi.covers(u):
             raise NotInSpan("decomposition needs the full matrix-unit span")
-        unit_images[u.vec()] = phi.apply(u)
-    zero_vec = phi.source.zero().vec()
-    unit_images[zero_vec] = phi.target.zero()
+        unit_images[u.key()] = phi.apply(u)
+    unit_images[phi.source.zero().key()] = phi.target.zero()
 
     def image(x: AlgElement) -> AlgElement:
         # products of matrix units are matrix units or zero
-        return unit_images[x.vec()]
+        return unit_images[x.key()]
 
     labels = []
     for s, n in enumerate(phi.source.dims):
@@ -498,15 +490,22 @@ def decompose_jordan(
 
 def image_fragment(g: JordanMap, frag: AbelianFragment) -> AbelianFragment:
     """Map each partition atomwise through g; images must again be
-    partitions of unity (checked), and names carry over."""
+    partitions of unity (checked), and names carry over.  Members share
+    atoms, so each distinct atom is mapped, and its image proved a
+    projection, once."""
+    images: dict[tuple, AlgElement] = {}
     named = {}
     for name in frag.names():
-        part = frag.partitions[name]
-        images = [
-            g.apply(AlgElement(atom.algebra, atom.blocks)) for atom in part.atoms
-        ]
+        atoms = frag.partitions[name].atoms
+        keys = [atom.key() for atom in atoms]
+        for key, atom in zip(keys, atoms):
+            if key not in images:
+                images[key] = g.apply(AlgElement(atom.algebra, atom.blocks))
         try:
-            named[name] = partition_of_unity(g.target, images)
+            for key in keys:
+                if not isinstance(images[key], Projection):
+                    images[key] = as_projection(images[key])
+            named[name] = partition_of_unity(g.target, [images[k] for k in keys])
         except (InvalidPartition, NotProjection) as exc:
             raise ImageNotPartition(
                 f"image of partition {name!r} is not a partition of unity: {exc}"

@@ -1,10 +1,10 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals, with no floating point
+and no tolerance anywhere.
 
-Everything in this package that touches matrices goes through this module.
-All arithmetic is exact: scalars are pairs of fractions.Fraction, and
-elimination runs fraction-free on Gaussian integers (each row scaled by the
-lcm of its denominators).  There is no floating point and no tolerance
-anywhere.
+A Matrix stores Gaussian integers over one common denominator, so products,
+sums, equality and hashing run on Python ints; GaussScalar, a pair of
+fractions.Fraction, is the form in which single values enter and leave.
+Elimination runs fraction-free on rows of Gaussian integers.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 ScalarLike = Union["GaussScalar", Fraction, int]
 
@@ -92,9 +92,6 @@ class GaussScalar:
     def is_real(self) -> bool:
         return self.im == 0
 
-    def sort_key(self):
-        return (self.re, self.im)
-
     def __str__(self) -> str:
         return format_scalar(self)
 
@@ -155,137 +152,148 @@ def _imag_fraction(token: str) -> Fraction:
     return Fraction(body)
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable dense matrix over GaussScalar."""
+class Matrix(NamedTuple):
+    """Immutable dense matrix over the Gaussian rationals, stored as
+    integers: entry (i, j) is (re[k] + im[k] i) / den, k = i * ncols + j.
+    The form is normal (den > 0, and gcd(den, re, im) = 1), so equal
+    matrices have equal fields, and equality and hashing are the tuple's,
+    on integers.  GaussScalar appears only where entries enter or leave.
+    A NamedTuple because it is cheap to build; len, iteration and tuple
+    repetition are not part of its interface."""
 
-    entries: tuple[tuple[GaussScalar, ...], ...]
+    shape: tuple[int, int]
+    den: int
+    re: tuple[int, ...]
+    im: tuple[int, ...]
+
+    def __deepcopy__(self, memo) -> "Matrix":
+        return self  # immutable, like Fraction
+
+    @staticmethod
+    def normal(shape: tuple[int, int], den: int, re, im) -> "Matrix":
+        """The matrix (re + im i) / den, for den > 0, in normal form."""
+        if (g := math.gcd(den, *re, *im)) > 1:
+            den, re, im = den // g, [x // g for x in re], [x // g for x in im]
+        return Matrix(shape, den, tuple(re), tuple(im))
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[ScalarLike]]) -> "Matrix":
-        data = tuple(tuple(GaussScalar.of(x) for x in row) for row in rows)
+        data = [[GaussScalar.of(x) for x in row] for row in rows]
         if not data:
             raise ShapeMismatch("matrix needs at least one row")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
+        if any(len(row) != len(data[0]) for row in data):
             raise ShapeMismatch("ragged rows")
-        return Matrix(data)
+        # the least common denominator of reduced entries is normal already
+        den, (re, im) = gauss_row([x for row in data for x in row])
+        return Matrix((len(data), len(data[0])), den, tuple(re), tuple(im))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix.from_rows(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        diagonal = tuple(int(k % (n + 1) == 0) for k in range(n * n))
+        return Matrix((n, n), 1, diagonal, (0,) * (n * n))
 
     @staticmethod
     def zeros(n: int, m: int | None = None) -> "Matrix":
         m = n if m is None else m
-        return Matrix.from_rows([[ZERO] * m for _ in range(n)])
+        return Matrix((n, m), 1, (0,) * (n * m), (0,) * (n * m))
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return self.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.entries[0])
+        return self.shape[1]
+
+    @property
+    def entries(self) -> tuple[tuple[GaussScalar, ...], ...]:
+        """The rows as GaussScalars."""
+        flat, w = from_gauss_row((self.re, self.im), self.den), self.ncols
+        return tuple(flat[k : k + w] for k in range(0, len(flat), w))
 
     def __getitem__(self, ij: tuple[int, int]) -> GaussScalar:
         return self.entries[ij[0]][ij[1]]
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._expect_same_shape(other)
-        # Operands are mostly sparse (matrix units, projections): a sum with
-        # a zero term is the other term.
-        return Matrix(
-            tuple(
-                tuple(
-                    a if not (b.re or b.im) else b if not (a.re or a.im) else a + b
-                    for a, b in zip(ra, rb)
-                )
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._expect_same_shape(other)
-        return Matrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, over the lcm of the two denominators."""
+        if self.shape != other.shape:
+            raise ShapeMismatch(f"{self.shape} vs {other.shape}")
+        if other.is_zero():  # atoms and projections often have zero blocks
+            return self
+        if sign > 0 and self.is_zero():
+            return other
+        d = math.lcm(self.den, other.den)
+        a, b = d // self.den, sign * (d // other.den)
+        re = [a * x + b * y for x, y in zip(self.re, other.re)]
+        im = [a * x + b * y for x, y in zip(self.im, other.im)]
+        return Matrix.normal(self.shape, d, re, im)
 
     def __neg__(self) -> "Matrix":
-        return self.scale(GaussScalar.of(-1))
+        return self.scale(-1)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
+        (n, m), (m2, w) = self.shape, other.shape
+        if m != m2:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
-        # Accumulate real and imaginary parts as Fractions and skip zero
-        # factors: operands here are mostly matrix units and projections,
-        # whose entries are largely zero, and many are real.
-        width = other.ncols
-        rows = []
-        for row in self.entries:
-            acc_re = [_F0] * width
-            acc_im = [_F0] * width
-            for a, other_row in zip(row, other.entries):
-                ar, ai = a.re, a.im
-                if not ar and not ai:
+        # Skip zero factors: operands here are mostly matrix units and
+        # projections, whose entries are largely zero.
+        are, aim, bre, bim = self.re, self.im, other.re, other.im
+        out_re, out_im = [0] * (n * w), [0] * (n * w)
+        for i in range(n):
+            row = i * w
+            for k in range(m):
+                ar, ai = are[i * m + k], aim[i * m + k]
+                if not (ar or ai):
                     continue
-                for j, b in enumerate(other_row):
-                    br, bi = b.re, b.im
-                    if ai or bi:
-                        acc_re[j] += ar * br - ai * bi
-                        acc_im[j] += ar * bi + ai * br
-                    elif br:
-                        acc_re[j] += ar * br
-            rows.append(tuple(map(GaussScalar, acc_re, acc_im)))
-        return Matrix(tuple(rows))
+                for j in range(w):
+                    br, bi = bre[k * w + j], bim[k * w + j]
+                    if br or bi:
+                        out_re[row + j] += ar * br - ai * bi
+                        out_im[row + j] += ar * bi + ai * br
+        return Matrix.normal((n, w), self.den * other.den, out_re, out_im)
 
     def scale(self, factor: ScalarLike) -> "Matrix":
-        f = GaussScalar.of(factor)
-        return Matrix(
-            tuple(
-                tuple(f * x if x.re or x.im else ZERO for x in row)
-                for row in self.entries
-            )
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
+        d, ((a,), (b,)) = gauss_row([GaussScalar.of(factor)])
+        re = [a * x - b * y for x, y in zip(self.re, self.im)]
+        im = [a * y + b * x for x, y in zip(self.re, self.im)]
+        return Matrix.normal(self.shape, d * self.den, re, im)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.entries)))
-
-    def conjugate(self) -> "Matrix":
-        return Matrix(tuple(tuple(x.conj() for x in row) for row in self.entries))
+        w = self.ncols
+        re = sum((self.re[j::w] for j in range(w)), ())
+        im = sum((self.im[j::w] for j in range(w)), ())
+        return Matrix((w, self.nrows), self.den, re, im)
 
     def dagger(self) -> "Matrix":
         """Conjugate transpose."""
-        return self.conjugate().transpose()
+        t = self.transpose()
+        return Matrix(t.shape, t.den, t.re, tuple(-x for x in t.im))
 
     def trace(self) -> GaussScalar:
         if self.nrows != self.ncols:
             raise ShapeMismatch("trace of non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.nrows)), ZERO)
+        step = self.ncols + 1
+        sums = [sum(self.re[::step])], [sum(self.im[::step])]
+        return from_gauss_row(sums, self.den)[0]
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
+        return not any(self.re) and not any(self.im)
 
-    def sort_key(self):
-        return tuple(x.sort_key() for row in self.entries for x in row)
+    def sort_key(self) -> tuple[tuple[Fraction | int, Fraction | int], ...]:
+        """(re, im) per entry, row by row, as exact rationals, whole ones as
+        ints (equal hash and order to the Fraction's, at less cost)."""
+        d, n = self.den, len(self.re)
+        parts = [Fraction(x, d) if x % d else x // d for x in self.re + self.im]
+        return tuple(zip(parts[:n], parts[n:]))
 
     def __str__(self) -> str:
-        return "; ".join(
-            ", ".join(format_scalar(x) for x in row) for row in self.entries
-        )
-
-    def _expect_same_shape(self, other: "Matrix") -> None:
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} vs {other.shape}")
+        return "; ".join(", ".join(map(format_scalar, row)) for row in self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +333,7 @@ def from_gauss_row(row: GaussRow, d: int) -> Vector:
 
 def _primitive(re: list[int], im: list[int]) -> GaussRow:
     """The row divided by the integer gcd of its parts."""
-    g = math.gcd(*re, *im)
-    if g > 1:
+    if (g := math.gcd(*re, *im)) > 1:
         return [u // g for u in re], [v // g for v in im]
     return re, im
 
@@ -351,10 +358,8 @@ def echelon(work: list[GaussRow]) -> list[int]:
     row r < len(pivots) of work leads with its entry in column pivots[r],
     and the remaining rows are zero."""
     pivots: list[int] = []
-    if not work:
-        return pivots
     r = 0
-    for c in range(len(work[0][0])):
+    for c in range(len(work[0][0]) if work else 0):
         pivot_row = next(
             (i for i in range(r, len(work)) if work[i][0][c] or work[i][1][c]),
             None,
@@ -421,12 +426,7 @@ def nullspace(rows: Sequence[Sequence[GaussScalar]]) -> list[Vector]:
 
 
 def same_span(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
-    combined = [list(v) for v in a] + [list(v) for v in b]
-    if not combined:
-        return True
-    ra = rank([list(v) for v in a]) if a else 0
-    rb = rank([list(v) for v in b]) if b else 0
-    return ra == rb == rank(combined)
+    return rank(a) == rank(b) == rank([*a, *b])
 
 
 # ---------------------------------------------------------------------------

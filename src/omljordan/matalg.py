@@ -10,9 +10,11 @@ equality; there are no tolerances.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from . import oml as omlmod
@@ -21,16 +23,18 @@ from .linalg import (
     HALF,
     ONE,
     ZERO,
+    GaussRow,
     GaussScalar,
     Matrix,
     Vector,
     char_poly,
+    echelon,
     format_scalar,
+    from_gauss_row,
     nullspace,
     parse_scalar,
     rational_root_split,
     rref,
-    same_span,
 )
 from .poset import ParseError, Poset, check_identifiers, content_lines, verify_poset
 
@@ -142,6 +146,9 @@ class AlgElement:
             if blk.shape != (n, n):
                 raise ParentMismatch(f"block shape {blk.shape} != ({n}, {n})")
 
+    def __deepcopy__(self, memo) -> "AlgElement":
+        return self  # immutable, and nothing is cached on it
+
     def _same_parent(self, other: "AlgElement") -> None:
         if self.algebra != other.algebra:
             raise ParentMismatch("elements of different algebras")
@@ -189,10 +196,36 @@ class AlgElement:
         return self == self.star() and self == self * self
 
     def vec(self) -> Vector:
-        return tuple(x for b in self.blocks for row in b.entries for x in row)
+        d, row = self.row()
+        return from_gauss_row(row, d)
+
+    def row(self) -> tuple[int, GaussRow]:
+        """(d, row): the entries of vec() as the Gaussian-integer row / d, d
+        the least positive common denominator (the lcm of the blocks')."""
+        d = math.lcm(*(b.den for b in self.blocks))
+        re: list[int] = []
+        im: list[int] = []
+        for b in self.blocks:
+            f = d // b.den
+            re += b.re if f == 1 else [x * f for x in b.re]
+            im += b.im if f == 1 else [x * f for x in b.im]
+        return d, (re, im)
+
+    def key(self) -> tuple[int, ...]:
+        """Each block's denominator, real parts and imaginary parts, as one
+        tuple of ints: blocks are in normal form, so two elements of one
+        algebra are equal iff their keys are.  Sets and dicts of elements
+        are keyed by it."""
+        out: tuple[int, ...] = ()
+        for b in self.blocks:
+            out += (b.den, *b.re, *b.im)
+        return out
 
     def sort_key(self):
-        return tuple(x.sort_key() for x in self.vec())
+        """(re, im) per entry of vec(), as exact rationals: the canonical
+        entry order, which picks labels and names.  key() is cheaper for
+        anything else."""
+        return tuple(pair for b in self.blocks for pair in b.sort_key())
 
     def __eq__(self, other) -> bool:
         return (
@@ -218,6 +251,17 @@ def from_vec(algebra: FinDimAlgebra, vec: Sequence[GaussScalar]) -> AlgElement:
     return AlgElement(algebra, tuple(blocks))
 
 
+def from_row(algebra: FinDimAlgebra, d: int, row: GaussRow) -> AlgElement:
+    """The element whose vec() is row / d, for a positive integer d."""
+    blocks = []
+    pos = 0
+    for n in algebra.dims:
+        re, im = row[0][pos : pos + n * n], row[1][pos : pos + n * n]
+        blocks.append(Matrix.normal((n, n), d, re, im))
+        pos += n * n
+    return AlgElement(algebra, tuple(blocks))
+
+
 class Projection(AlgElement):
     """An AlgElement satisfying p = p* = p^2 exactly."""
 
@@ -231,8 +275,7 @@ class Projection(AlgElement):
         return Projection(self.algebra, (ident - self).blocks)
 
     def rank(self) -> int:
-        tr = self.trace()
-        return int(tr.re)
+        return sum(sum(b.re[:: b.ncols + 1]) // b.den for b in self.blocks)
 
 
 def as_projection(e: AlgElement) -> Projection:
@@ -248,34 +291,33 @@ def _trusted_projection(e: AlgElement) -> Projection:
     return p
 
 
-def _trace_of_product(p: Projection, q: Projection) -> Fraction:
-    """tr(pq), which is real for projections: the real parts summed over
-    the nonzero entries of p."""
-    total = 0
-    for pb, qb in zip(p.blocks, q.blocks):
-        q_rows = qb.entries
-        for i, row in enumerate(pb.entries):
-            for j, x in enumerate(row):
-                if x.re or x.im:
-                    y = q_rows[j][i]
-                    total += x.re * y.re - x.im * y.im
-    return total
+def _traces_of_products(p: Projection, q: Projection) -> list[int]:
+    """Per summand, tr(p_s q_s) times both blocks' denominators.  As q = q*,
+    tr(pq) = sum_ij p_ij conj(q_ij), which is real for projections: the
+    integer dot products of the real parts and of the imaginary parts."""
+    return [
+        sum(map(mul, a.re, b.re)) + sum(map(mul, a.im, b.im))
+        for a, b in zip(p.blocks, q.blocks)
+    ]
 
 
 def proj_leq(p: Projection, q: Projection) -> bool:
     """Projection order: p <= q iff qp = p iff tr(pq) = tr(p).
 
     The trace test is exact: tr(p) - tr(pq) = ||(1-q)p||^2 (Hilbert-Schmidt),
-    which vanishes iff (1-q)p = 0.
+    which vanishes iff (1-q)p = 0.  It is taken summand by summand, where
+    each difference is such a norm, on integers.
     """
     p._same_parent(q)
-    trace_p = sum(row[i].re for b in p.blocks for i, row in enumerate(b.entries))
-    return _trace_of_product(p, q) == trace_p
+    return all(
+        t == sum(a.re[:: a.ncols + 1]) * b.den
+        for t, a, b in zip(_traces_of_products(p, q), p.blocks, q.blocks)
+    )
 
 
 class ProjectionAlgebra(NamedTuple):
     """A partition's Boolean algebra of projections: the subset sums of its
-    atoms and their sort keys, both indexed by bitmask."""
+    atoms and their keys, both indexed by bitmask."""
 
     projections: list[Projection]
     keys: list[tuple]
@@ -289,13 +331,17 @@ class PartitionOfUnity:
     algebra: FinDimAlgebra
     atoms: tuple[Projection, ...]
 
+    def __deepcopy__(self, memo) -> "PartitionOfUnity":
+        # the atoms are immutable; the copy builds its own projection algebra
+        return PartitionOfUnity(self.algebra, self.atoms)
+
     @cached_property
     def projection_algebra(self) -> ProjectionAlgebra:
         projections = [_trusted_projection(s) for s in _subset_sums(self)]
-        return ProjectionAlgebra(projections, [p.sort_key() for p in projections])
+        return ProjectionAlgebra(projections, [p.key() for p in projections])
 
-    def key(self):
-        return tuple(sorted(a.sort_key() for a in self.atoms))
+    def key(self) -> frozenset:
+        return frozenset(a.key() for a in self.atoms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PartitionOfUnity) and self.key() == other.key()
@@ -313,7 +359,9 @@ class PartitionOfUnity:
 def partition_of_unity(
     algebra: FinDimAlgebra, atoms: Sequence[AlgElement]
 ) -> PartitionOfUnity:
-    projs = [as_projection(a) for a in atoms]
+    """Validate the atoms; a Projection instance was proved p = p* = p^2
+    when it was built, so only the other atoms are checked for that."""
+    projs = [a if isinstance(a, Projection) else as_projection(a) for a in atoms]
     for p in projs:
         if p.is_zero():
             raise InvalidPartition("zero atom")
@@ -322,7 +370,7 @@ def partition_of_unity(
     # pq = 0 iff tr(pq) = ||pq||^2 (Hilbert-Schmidt) vanishes, and then
     # qp = (pq)* = 0 as well
     for p, q in itertools.combinations(projs, 2):
-        if _trace_of_product(p, q):
+        if any(_traces_of_products(p, q)):
             raise InvalidPartition("atoms are not pairwise orthogonal")
     total = algebra.zero()
     for p in projs:
@@ -352,7 +400,7 @@ def coarsens(p: PartitionOfUnity, q: PartitionOfUnity) -> bool:
     if p.algebra != q.algebra:
         raise ParentMismatch("partitions of different algebras")
     keys = set(q.projection_algebra.keys)
-    return all(atom.sort_key() in keys for atom in p.atoms)
+    return all(atom.key() in keys for atom in p.atoms)
 
 
 def merge_atoms(
@@ -458,9 +506,8 @@ def embed_full(e: AlgElement) -> AlgElement:
     rows = [[ZERO] * n for _ in range(n)]
     pos = 0
     for blk in e.blocks:
-        for i in range(blk.nrows):
-            for j in range(blk.ncols):
-                rows[pos + i][pos + j] = blk[(i, j)]
+        for i, row in enumerate(blk.entries):
+            rows[pos + i][pos : pos + blk.ncols] = row
         pos += blk.nrows
     return AlgElement(FinDimAlgebra((n,)), (Matrix.from_rows(rows),))
 
@@ -497,13 +544,13 @@ def commutant(
     n = full.dims[0]
     rows: dict[tuple, None] = {}
     for g in gens:
-        s = g.blocks[0]
+        s = g.blocks[0].entries
         for k in range(n):
             for l in range(n):
                 row = [ZERO] * (n * n)
                 for m in range(n):
-                    row[k * n + m] = row[k * n + m] + s[(m, l)]
-                    row[m * n + l] = row[m * n + l] - s[(k, m)]
+                    row[k * n + m] = row[k * n + m] + s[m][l]
+                    row[m * n + l] = row[m * n + l] - s[k][m]
                 if any(not x.is_zero() for x in row):
                     rows.setdefault(tuple(row), None)
     if not rows:
@@ -519,10 +566,6 @@ def double_commutant(
     return commutant(algebra, commutant(algebra, generators))
 
 
-def span_of_elements(elements: Iterable[AlgElement]) -> list[Vector]:
-    return [e.vec() for e in elements]
-
-
 def spans_equal(a: Iterable[AlgElement], b: Iterable[AlgElement]) -> bool:
     """Exact span comparison; mixed direct-sum and B(H) elements are
     compared inside B(H) via the block-diagonal embedding."""
@@ -532,7 +575,11 @@ def spans_equal(a: Iterable[AlgElement], b: Iterable[AlgElement]) -> bool:
     if len(algebras) > 1:
         a = [e if len(e.algebra.dims) == 1 else embed_full(e) for e in a]
         b = [e if len(e.algebra.dims) == 1 else embed_full(e) for e in b]
-    return same_span(span_of_elements(a), span_of_elements(b))
+
+    def rank(elements: list[AlgElement]) -> int:
+        return len(echelon([e.row()[1] for e in elements]))
+
+    return rank(a) == rank(b) == rank(a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +651,8 @@ def atoms_of_abelian_basis(basis: Sequence[AlgElement]) -> PartitionOfUnity:
 
 class ProjectionIndex(NamedTuple):
     """A fragment's distinct projections in (rank, sort_key) order, the order
-    projection_oml labels by, with each sort key's position; per member, an
-    int mask of its projections' positions and its atoms' positions."""
+    projection_oml labels by, with each key's position; per member, an int
+    mask of its projections' positions and its atoms' positions."""
 
     projections: list[Projection]
     position: dict[tuple, int]
@@ -641,7 +688,7 @@ class AbelianFragment:
         # each member's root, and its atoms as cells: masks over the root's atoms
         found: dict[str, tuple[int, list[int]]] = {}
         for name in sorted(parts, key=lambda n: (-len(parts[n]), n)):
-            keys = [a.sort_key() for a in parts[name].atoms]
+            keys = [a.key() for a in parts[name].atoms]
             for r, (_, cell) in enumerate(roots):
                 if all(k in cell for k in keys):
                     break
@@ -651,7 +698,9 @@ class AbelianFragment:
                 roots.append((table, {k: m for m, k in enumerate(table.keys)}))
             found[name] = (r, [roots[r][1][k] for k in keys])
         distinct = {k: p for t, _ in roots for k, p in zip(t.keys, t.projections)}
-        ranked = sorted(distinct, key=lambda k: (distinct[k].rank(), k))
+        ranked = sorted(
+            distinct, key=lambda k: (distinct[k].rank(), distinct[k].sort_key())
+        )
         position = {k: i for i, k in enumerate(ranked)}
         at = [[position[k] for k in t.keys] for t, _ in roots]
         masks, atoms = {}, {}
@@ -666,8 +715,7 @@ class AbelianFragment:
 
     def projections(self) -> list[Projection]:
         """Union of the members' Boolean projection algebras, in sort_key order."""
-        index = self.index
-        return [p for _, p in sorted(zip(index.position, index.projections))]
+        return sorted(self.index.projections, key=AlgElement.sort_key)
 
 
 def fragment(
@@ -714,29 +762,32 @@ def coarsening_closure(
     algebra: FinDimAlgebra, named: Mapping[str, PartitionOfUnity]
 ) -> AbelianFragment:
     """Close a named family under all atom merges.  Generated partitions are
-    named m0, m1, ... in key order, skipping given names; the trivial one is
-    named 'trivial' unless already present under another name."""
+    named m0, m1, ... in the order of their sorted atom sort keys, skipping
+    given names; the trivial one is named 'trivial' unless already present
+    under another name."""
     if "trivial" in named and not named["trivial"].is_trivial():
         raise InvalidFragment("a non-trivial partition is named 'trivial'")
     given = {p.key() for p in named.values()}
-    generated: dict[tuple, PartitionOfUnity] = {}
+    generated: dict[frozenset, PartitionOfUnity] = {}
     # Each merge's cell sums are read by bitmask from p's projection algebra,
     # and not re-validated: the merged cells of a partition form one.
     for p in named.values():
         sums, keys = p.projection_algebra
         for cells in set_partitions(range(len(p.atoms))):
             masks = [sum(1 << i for i in cell) for cell in cells]
-            key = tuple(sorted(keys[m] for m in masks))
+            key = frozenset(keys[m] for m in masks)
             if key not in given and key not in generated:
                 cell_sums = tuple(sums[m] for m in masks)
                 generated[key] = PartitionOfUnity(p.algebra, cell_sums)
     triv = trivial_partition(algebra)
     if triv.key() not in given and triv.key() not in generated:
         generated[triv.key()] = triv
+    ordered = sorted(
+        generated.values(), key=lambda p: sorted(a.sort_key() for a in p.atoms)
+    )
     parts = dict(named)
     fresh = (f"m{i}" for i in itertools.count() if f"m{i}" not in named)
-    for key, name in zip(sorted(generated), fresh):
-        p = generated[key]
+    for p, name in zip(ordered, fresh):
         parts["trivial" if p.is_trivial() else name] = p
     # closed by construction: a merge of a merge of p is a merge of p
     return fragment(algebra, parts)
@@ -873,21 +924,23 @@ def projection_oml(
     """Build the finite OML on a complement-closed set of projections.
 
     The order is the ambient projection order; labels are q0, q1, ... in
-    rank-then-entry order, except the zero and identity which are labeled
-    0 and 1.  Raises if the set is not closed under complements or does not
-    form a lattice under the induced order.
+    rank order, ties in the given order, except the zero and identity which
+    are labeled 0 and 1.  Pass the projections in sort_key order, as
+    AbelianFragment.projections() and its index list them, and the labels
+    follow rank, then entries.  Raises if the set is not closed under
+    complements or does not form a lattice under the induced order.
     """
     ident = algebra.identity()
     seen: dict[tuple, Projection] = {}
     for p in (*projections, as_projection(algebra.zero()), as_projection(ident)):
-        seen.setdefault(p.sort_key(), p)
-    # zero and the identity are the only projections of their ranks
-    ranked = sorted((p.rank(), k, p) for k, p in seen.items())
+        seen.setdefault(p.key(), p)
+    # a stable sort; zero and the identity are the only projections of their ranks
+    ranked = sorted(((p.rank(), k, p) for k, p in seen.items()), key=lambda t: t[0])
     elements = ["0", *(f"q{i}" for i in range(len(ranked) - 2)), "1"]
     labels = {k: x for (_, k, _), x in zip(ranked, elements)}
     ortho = {}
     for (_, _, p), x in zip(ranked, elements):
-        ortho[x] = labels.get((ident - p).sort_key())
+        ortho[x] = labels.get((ident - p).key())
         if ortho[x] is None:
             raise InvalidFragment(f"projection set is not complement-closed at {x}")
     # p < q forces rank p < rank q: if p <= q with equal ranks, q - p is a

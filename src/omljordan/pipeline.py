@@ -28,7 +28,7 @@ from .jordan import (
     jordan_map,
     spectral_extend,
 )
-from .linalg import rank
+from .linalg import echelon
 from .matalg import (
     AbelianFragment,
     AlgElement,
@@ -294,9 +294,15 @@ def verify_claims(instance: TheoremInstance, F: JordanMap) -> Report:
     index_m, index_n = t.fragment_m.index, t.fragment_n.index
     # F is applied once per index position and each image looked up once in
     # N's index; one outside it takes a position that no member of N holds.
-    images = [F.apply(p) for p in index_m.projections]
+    # An image found there is replaced by N's equal Projection, so claim 2
+    # checks p = p* = p^2 only on images outside N's index.
     outside = len(index_n.projections)
-    image_bits = [1 << index_n.position.get(q.sort_key(), outside) for q in images]
+    images, image_bits = [], []
+    for p in index_m.projections:
+        q = F.apply(p)
+        i = index_n.position.get(q.key(), outside)
+        images.append(q if i == outside else index_n.projections[i])
+        image_bits.append(1 << i)
     for name in t.fragment_m.names():
         image_name = t.f.apply(name)
         same = image_mask(index_m.masks[name], image_bits) == index_n.masks[image_name]
@@ -339,7 +345,7 @@ def verify_uniqueness(instance: TheoremInstance, F: JordanMap) -> Report:
         AlgElement(p.algebra, p.blocks) for p in instance.fragment_m.index.projections
     ]
     span_dim = F.span_dimension()
-    proj_rank = rank([list(p.vec()) for p in projections])
+    proj_rank = len(echelon([p.row()[1] for p in projections]))
     entries.append(
         ReportEntry.of(
             "projections-span-domain",

@@ -11,11 +11,15 @@ each member in the fragment poset), poset joins, meets, covers and
 ideals from scans of the raw <= relation (the package reads int up-masks
 and down-masks), and the reduced row echelon form by Gauss-Jordan
 elimination on GaussScalar fractions (the package eliminates fraction-free
-on Gaussian integers).
+on Gaussian integers).  The matrix kernel's reference works on lists of
+rows of (re, im) Fraction pairs and imports nothing from the package (the
+package stores Gaussian integers over one denominator), and the canonical
+entry order is read back one entry at a time as Fraction pairs.
 """
 
 import itertools
 import types
+from fractions import Fraction
 
 from omljordan.linalg import GaussScalar
 
@@ -296,3 +300,120 @@ def rref_by_fractions(rows):
         if r == len(work):
             break
     return [tuple(row) for row in work[:r]], pivots
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference for the exact kernel: a matrix is a list of rows of
+# (re, im) Fraction pairs.
+# ---------------------------------------------------------------------------
+
+
+def _c_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _c_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _c_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm)
+
+
+ZERO_PAIR = (Fraction(0), Fraction(0))
+
+
+def pairs_add(a, b):
+    return [[_c_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def pairs_scale(a, c):
+    return [[_c_mul(c, x) for x in row] for row in a]
+
+
+def pairs_sub(a, b):
+    return pairs_add(a, pairs_scale(b, (Fraction(-1), Fraction(0))))
+
+
+def pairs_matmul(a, b):
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = ZERO_PAIR
+            for x, b_row in zip(row, b):
+                acc = _c_add(acc, _c_mul(x, b_row[j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def pairs_transpose(a):
+    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
+
+
+def pairs_dagger(a):
+    return [[(x[0], -x[1]) for x in row] for row in pairs_transpose(a)]
+
+
+def pairs_trace(a):
+    acc = ZERO_PAIR
+    for i in range(len(a)):
+        acc = _c_add(acc, a[i][i])
+    return acc
+
+
+def pairs_rref(rows):
+    """Gauss-Jordan elimination with complex division on Fraction pairs:
+    (nonzero rows of the reduced row echelon form, pivot columns)."""
+    work = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(work[0]) if work else 0):
+        pivot_row = next(
+            (i for i in range(r, len(work)) if work[i][c] != ZERO_PAIR), None
+        )
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        lead = work[r][c]
+        work[r] = [_c_div(x, lead) for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != ZERO_PAIR:
+                f = (-work[i][c][0], -work[i][c][1])
+                work[i] = [_c_add(x, _c_mul(f, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots
+
+
+def pairs_nullspace(rows, ncols):
+    """The standard basis of the right nullspace: one vector per non-pivot
+    column, 1 there, 0 at the other non-pivot columns."""
+    reduced, pivots = pairs_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [ZERO_PAIR] * ncols
+        vec[fc] = (Fraction(1), Fraction(0))
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = (-row[fc][0], -row[fc][1])
+        basis.append(vec)
+    return basis
+
+
+def entry_fractions(e):
+    """An algebra element's entries as (re, im) Fraction pairs, block by
+    block and row by row, read one entry at a time: the canonical entry
+    order of the sort keys."""
+    return tuple(
+        (b[i, j].re, b[i, j].im)
+        for b in e.blocks
+        for i in range(b.nrows)
+        for j in range(b.ncols)
+    )
+
+
+def rank_by_fractions(p):
+    """A projection's rank: its trace, summed entry by entry."""
+    return int(sum(b[i, i].re for b in p.blocks for i in range(b.nrows)))

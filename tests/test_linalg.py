@@ -19,7 +19,19 @@ from omljordan.linalg import (
     same_span,
 )
 
-from .oracles import rref_by_fractions
+from .oracles import (
+    ZERO_PAIR,
+    pairs_add,
+    pairs_dagger,
+    pairs_matmul,
+    pairs_nullspace,
+    pairs_rref,
+    pairs_scale,
+    pairs_sub,
+    pairs_trace,
+    pairs_transpose,
+    rref_by_fractions,
+)
 
 fractions = st.builds(
     Fraction,
@@ -202,6 +214,75 @@ def test_elimination_matches_fraction_oracle(rows, data):
     oracle_rank = lambda vs: len(rref_by_fractions(vs)[0])  # noqa: E731
     assert same_span(rows, others) == (
         oracle_rank(rows) == oracle_rank(others) == oracle_rank(rows + others)
+    )
+
+
+# Kernel entries: zero often (sparse matrices, zero matrices), small signed
+# values, and fractions over large primes such as 10^9 + 7.
+_kernel_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5])),
+    st.builds(
+        Fraction,
+        st.integers(-(10**9), 10**9),
+        st.sampled_from([1, 10**9 + 7, 10**9 + 9, 2**61 - 1]),
+    ),
+)
+_kernel_pairs = st.tuples(_kernel_parts, _kernel_parts)
+
+
+def _pair_matrices(n, m):
+    """n x m matrices of Fraction pairs; one draw in four is all zero."""
+    zero = st.just([[ZERO_PAIR] * m for _ in range(n)])
+    rows = st.lists(
+        st.lists(_kernel_pairs, min_size=m, max_size=m), min_size=n, max_size=n
+    )
+    return st.one_of(zero, rows, rows, rows)
+
+
+def _matrix(pairs):
+    return Matrix.from_rows([[GaussScalar(re, im) for re, im in row] for row in pairs])
+
+
+def _pairs(m):
+    """A Matrix read back entry by entry as Fraction pairs."""
+    return [[(m[i, j].re, m[i, j].im) for j in range(m.ncols)] for i in range(m.nrows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernel_matches_fraction_oracle(data):
+    """+, -, @, scale, dagger, transpose, trace, == and hash, rank, rref and
+    nullspace of the integer kernel agree with Fraction arithmetic on (re,
+    im) pairs, which shares no code with the package."""
+    n, m, w = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, c = data.draw(_pair_matrices(n, m)), data.draw(_pair_matrices(n, m))
+    b = data.draw(_pair_matrices(m, w))
+    s = data.draw(_kernel_pairs)
+    ma, mb, mc = _matrix(a), _matrix(b), _matrix(c)
+    assert _pairs(ma) == a
+    assert _pairs(ma + mc) == pairs_add(a, c)
+    assert _pairs(ma - mc) == pairs_sub(a, c)
+    assert _pairs(ma @ mb) == pairs_matmul(a, b)
+    assert _pairs(ma.scale(GaussScalar(*s))) == pairs_scale(a, s)
+    assert _pairs(ma.transpose()) == pairs_transpose(a)
+    assert _pairs(ma.dagger()) == pairs_dagger(a)
+    if n == m:
+        tr = ma.trace()
+        assert (tr.re, tr.im) == pairs_trace(a)
+    # equality and hashing are on the normal integer form, whatever the path
+    again = (ma + mc) - mc
+    assert again == ma and hash(again) == hash(ma)
+    assert (ma == mc) == (a == c)
+    assert ma.is_zero() == all(x == ZERO_PAIR for row in a for x in row)
+    rows = [[GaussScalar(re, im) for re, im in row] for row in a]
+    reduced, pivots = rref(rows)
+    expected_rows, expected_pivots = pairs_rref(a)
+    assert pivots == expected_pivots
+    assert [[(x.re, x.im) for x in row] for row in reduced] == expected_rows
+    assert rank(rows) == len(expected_pivots)
+    assert [[(x.re, x.im) for x in v] for v in nullspace(rows)] == pairs_nullspace(
+        a, m
     )
 
 

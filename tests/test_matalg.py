@@ -53,10 +53,12 @@ from .conftest import (
 )
 from .oracles import (
     coarsens_by_products,
+    entry_fractions,
     first_unclosed_member,
     is_projection_by_products,
     leq_by_products,
     orthogonal_by_products,
+    rank_by_fractions,
 )
 
 
@@ -452,16 +454,83 @@ def test_projection_index_matches_psi_project(case):
     0 first, 1 last and q0, q1, ... between."""
     frag = FRAGMENT_CASES[case]()
     index = frag.index
-    assert list(index.position) == [p.sort_key() for p in index.projections]
+    assert list(index.position) == [p.key() for p in index.projections]
     assert list(index.position.values()) == list(range(len(index.projections)))
     for name, part in frag.partitions.items():
-        positions = [index.position[p.sort_key()] for p in psi_project(part)]
+        positions = [index.position[p.key()] for p in psi_project(part)]
         assert index.masks[name] == sum(1 << i for i in positions)
         assert [index.projections[i] for i in index.atoms[name]] == list(part.atoms)
     lattice, by_label = projection_oml(frag.algebra, frag.projections())
     count = len(index.projections)
     assert lattice.elements == ("0", *(f"q{i}" for i in range(count - 2)), "1")
     assert [by_label[x] for x in lattice.elements] == index.projections
+
+
+def _two_phase_fragment():
+    """Two rank-one partitions of M2 whose projections first differ in the
+    off-diagonal entry, (3+4i)/10 against (4-3i)/10: ordered by real parts
+    the first comes first, by imaginary parts the second."""
+    m2 = FinDimAlgebra((2,))
+    named = {}
+    for name, w in (("a", 3 + 4 * I), ("b", 4 - 3 * I)):
+        half_w = w / 10
+        p = as_projection(
+            m2.from_rows([[Fraction(1, 2), half_w], [half_w.conj(), Fraction(1, 2)]])
+        )
+        named[name] = partition_of_unity(m2, [p, p.complement()])
+    return coarsening_closure(m2, named)
+
+
+# FRAGMENT_CASES plus phase-turned fragments, each with its given names
+ORDER_CASES = {
+    "(3,1)": (FRAGMENT_CASES["(3,1)"], ("diag", "rot")),
+    "(2,2)": (FRAGMENT_CASES["(2,2)"], ("diag", "rot")),
+    "three-partition": (FRAGMENT_CASES["three-partition"], ("p", "q", "s")),
+    "(3,1) phase-turned": (
+        lambda: _phase_turned_fragment(FinDimAlgebra((3, 1))),
+        ("diag", "rot"),
+    ),
+    "(2,) two phases": (_two_phase_fragment, ("a", "b")),
+}
+
+
+@pytest.mark.parametrize("case", list(ORDER_CASES))
+def test_orders_follow_fraction_entries(case):
+    """The orders that pick labels and names are today's Fraction entry
+    order, read entry by entry: the index lists projections by rank, then
+    entries; psi_project lists a member's projections by entries; and the
+    closure names its generated members m0, m1, ... (skipping given names,
+    'trivial' for the trivial one) in the order of their sorted atoms'
+    entries."""
+    build, given = ORDER_CASES[case]
+    frag = build()
+    projs = frag.index.projections
+    by_entries = sorted(projs, key=lambda p: (rank_by_fractions(p), entry_fractions(p)))
+    assert projs == by_entries
+    assert len({entry_fractions(p) for p in projs}) == len(projs)
+    for part in frag.partitions.values():
+        listed = [entry_fractions(p) for p in psi_project(part)]
+        assert listed == sorted(set(listed))
+    generated = [frag.partitions[n] for n in frag.names() if n not in given]
+    generated.sort(key=lambda p: sorted(entry_fractions(a) for a in p.atoms))
+    fresh = (f"m{i}" for i in itertools.count() if f"m{i}" not in given)
+    expected = {
+        "trivial" if p.is_trivial() else name: p for p, name in zip(generated, fresh)
+    }
+    assert {n: frag.partitions[n] for n in frag.names() if n not in given} == expected
+
+
+def test_key_matches_equality(m31):
+    """Two elements of one algebra have equal keys iff they are equal, on
+    whatever path they were built; the key carries each block's
+    denominator, so e and e/2 differ."""
+    r = rng(5)
+    elements = [random_element(m31, r) for _ in range(20)]
+    elements += [e.scale(Fraction(1, 2)) for e in elements[:5]]
+    elements += [(e + f) - f for e, f in zip(elements, elements[1:6])]
+    for e in elements:
+        for f in elements:
+            assert (e.key() == f.key()) == (e == f)
 
 
 def test_order_tests_reject_other_algebras(m3, m31):

@@ -249,6 +249,42 @@ def test_tampered_map_fails_claim1(m3):
     assert any(e.status == "FAIL" for e in claim1)
 
 
+def _doctored(F, images):
+    """F with the given image for each basis generator, same coordinates."""
+    basis = tuple((g, images(i, g, img)) for i, (g, img) in enumerate(F._basis))
+    return JordanMap(F.source, F.target, basis, basis, F._coords)
+
+
+def test_claim2_matches_partition_check_on_every_image(m3):
+    """Claim 2 reads an image found in N's index as N's Projection and
+    checks only the images outside it; each entry must equal the full
+    partition_of_unity check on the F-images: PASS, or FAIL with its
+    message.  Doubling F sends every atom outside N's index, and swapping
+    two basis images keeps some images inside it."""
+    instance, frag = _round_trip_instance(m3, identity_map(m3))
+    F = run_pipeline(instance)
+    basis = F._basis
+    doubled = _doctored(F, lambda i, g, img: img.scale(2))
+    swapped = _doctored(F, lambda i, g, img: basis[{0: 1, 1: 0}.get(i, i)][1])
+    outcomes = set()
+    for tampered in (F, doubled, swapped):
+        report = {e.name: e for e in verify_claims(instance, tampered).entries}
+        for name in frag.names():
+            images = [
+                tampered.apply(AlgElement(a.algebra, a.blocks))
+                for a in frag.partitions[name].atoms
+            ]
+            try:
+                partition_of_unity(m3, images)
+                expected = ("PASS", "")
+            except Exception as exc:
+                expected = ("FAIL", str(exc))
+            entry = report[f"claim2[{name}]"]
+            assert (entry.status, entry.witness) == expected
+            outcomes.add(expected[1].split(":")[0])
+    assert {"", "not a projection", "atoms are not pairwise orthogonal"} <= outcomes
+
+
 def test_instance_validation_rejects_unclosed_fragment(m3):
     frag = fragment(
         m3,
