@@ -313,6 +313,14 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_bell_check(args) -> int:
+    # 8 atoms take about 1 s on a 2-core x86-64 VM and 9 about 6 s; each
+    # further atom costs about 5 times more.
+    if not 1 <= args.max_atoms <= 8:
+        print(
+            f"parse error: --max-atoms {args.max_atoms} is outside 1..8",
+            file=sys.stderr,
+        )
+        return 2
     ok = True
     print("atoms  |BSub|  partitions  bell")
     for n in range(1, args.max_atoms + 1):

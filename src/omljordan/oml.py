@@ -148,12 +148,13 @@ def verify_oml(order: Poset, ortho: Mapping[str, str]) -> Oml:
             raise InvalidIdentifier(
                 f"OML element identifier {e!r} may not contain braces or commas"
             )
-    for x in order.elements:
-        for y in order.elements:
-            if order.meet(x, y) is None:
-                raise NotLattice(f"no meet for ({x}, {y})")
-            if order.join(x, y) is None:
-                raise NotLattice(f"no join for ({x}, {y})")
+    # meet and join are symmetric and defined on (x, x), so each unordered
+    # pair is checked once, with x before y in element order.
+    for x, y in itertools.combinations(order.elements, 2):
+        if order.meet(x, y) is None:
+            raise NotLattice(f"no meet for ({x}, {y})")
+        if order.join(x, y) is None:
+            raise NotLattice(f"no join for ({x}, {y})")
     bottom, top = order.bottom(), order.top()
     if bottom is None or top is None:
         raise NotLattice("missing bottom or top")
@@ -415,14 +416,12 @@ def from_greechie(diagram: GreechieDiagram) -> Oml:
     for lab in labels:
         pairs.append(("0", lab))
         pairs.append((lab, "1"))
-    for rep1, g1 in classes.items():
-        for rep2, g2 in classes.items():
-            if rep1 == rep2:
-                continue
-            if any(
-                b1 == b2 and s1 < s2 for b1, s1 in g1 for b2, s2 in g2
-            ):
-                pairs.append((label_of[rep1], label_of[rep2]))
+    # Nodes are listed block by block; the order is generated by strict
+    # inclusion inside each block.
+    for _, inside in itertools.groupby(nodes, key=lambda n: n[0]):
+        for n1, n2 in itertools.permutations(inside, 2):
+            if n1[1] < n2[1] and find(n1) != find(n2):
+                pairs.append((label_of[find(n1)], label_of[find(n2)]))
     try:
         order = verify_poset(elements, pairs)
     except Exception as exc:
@@ -494,12 +493,11 @@ def _boolean(n: int) -> Oml:
         for r in range(n + 1)
         for c in itertools.combinations(atoms, r)
     ]
-    elements = [label(s) for s in subsets]
-    pairs = [
-        (label(s), label(t)) for s in subsets for t in subsets if s < t
-    ]
-    order = verify_poset(elements, pairs)
-    ortho = {label(s): label(frozenset(atoms) - s) for s in subsets}
+    names = {s: label(s) for s in subsets}
+    # The covers s < s + a generate the order.
+    pairs = [(names[s], names[s | {a}]) for s in subsets for a in atoms if a not in s]
+    order = verify_poset(list(names.values()), pairs)
+    ortho = {names[s]: names[frozenset(atoms) - s] for s in subsets}
     return verify_oml(order, ortho)
 
 

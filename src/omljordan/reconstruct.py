@@ -4,31 +4,28 @@ Given an order-isomorphism j between BSub(L) and BSub(M) (with labels
 resolving to member sets), every element x of L sits in the 4-element
 subalgebra {0, x, x', 1}, so j determines where each complementary pair
 {x, x'} must land as a pair; what remains open is one orientation bit per
-pair.  Reconstruction is therefore a finite constraint search over those
-bits: an assignment is consistent iff the induced bijection preserves
-order.  The uniqueness guarantee (no 4-element blocks implies a unique
-solution) is treated as a testable property, not as an algorithm.
+pair.
 
-The search factors by components, the mechanism behind Harding and Navara
-("Subalgebras of orthomodular lattices", Order, 2011).  Call two pairs
-adjacent when they lie in a common block of L.  In an OML, x <= y implies
-that x and y commute, so they share a block: no order relation other than
-with 0 and 1 crosses two components, and every Boolean subalgebra lies in
-one block, hence in one component.  The same must hold on M for the pair
-targets of each component, which is checked once per call (a crossing there
-means no solution).  Then a bijection is an OML isomorphism with k[D] = j(D)
-for all D exactly when its restriction to each component, with 0 and 1,
-passes the same checks there.  So each component is searched and verified
-on its own, and the solutions are the Cartesian product of the component
-solutions: MO(n) has n components of 2 orientations each, and a count of
-2^n costs n small searches.
+The bits are read off the blocks.  A Boolean algebra with 3 or more atoms
+is determined by its subalgebras (Sachs, "The lattice of subalgebras of a
+Boolean algebra", Canadian J. Math., 1962); Harding and Navara
+("Subalgebras of orthomodular lattices", Order, 2011) carry this to OMLs.
+A solution k (k[D] = j(D) for every D) maps each block B onto j(B): each
+atom a of B to the one element of a's pair image that is an atom of j(B),
+every other element of B to the join of its atoms' images.  That fixes the
+blocks with 3 or more atoms.  The pairs left free are the non-bound
+elements of 4-element blocks, which share only 0 and 1 with other blocks,
+so x is comparable to nothing but 0 and 1 on either side: once one
+orientation of the free pairs gives an isomorphism, every one does.  One
+map is verified, and the solutions are its 2^f reorientations for f
+4-element blocks: MO(n) has 2^n, counted without listing them.  The
+uniqueness guarantee (no 4-element blocks, one solution) is a testable
+property that certify_unique checks.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -40,15 +37,7 @@ from .oml import (
     members_of_label,
     subalgebra_label,
 )
-from .poset import (
-    NotOrderIso,
-    OrderIso,
-    ParseError,
-    Poset,
-    content_lines,
-    extends_order_iso,
-    order_iso,
-)
+from .poset import NotOrderIso, OrderIso, ParseError, content_lines, order_iso
 
 
 class InconsistentLevels(Exception):
@@ -141,56 +130,13 @@ def _complementary_pairs(lattice: Oml) -> list[tuple[str, str]]:
     return pairs
 
 
-def _components(
-    pairs: list[tuple[str, str]],
-    pair_of: Mapping[str, tuple[str, str]],
-    lattice_blocks: list[BooleanSubalgebra],
-) -> list[list[tuple[str, str]]]:
-    """The pairs grouped into the components of the graph in which two pairs
-    are adjacent when they lie in a common block: components in order of
-    their first pair, pairs in the order of `pairs`."""
-    root = {p: p for p in pairs}
+def _read(iso: BsubIso) -> tuple[OmlIso, list[tuple[str, str]]]:
+    """The block reading (see the module docstring).
 
-    def find(p: tuple[str, str]) -> tuple[str, str]:
-        while root[p] != p:
-            p = root[p]
-        return p
-
-    for block in lattice_blocks:
-        inside = [pair_of[m] for m in block.members if m in pair_of]
-        for p in inside[1:]:
-            root[find(p)] = find(inside[0])
-    groups: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for p in pairs:
-        groups.setdefault(find(p), []).append(p)
-    return list(groups.values())
-
-
-def _closed_part(lattice: Oml, xs: list[str]) -> Poset | None:
-    """The order of lattice restricted to xs plus 0 and 1, or None when an
-    element of xs is comparable to an element outside them.  One test of
-    each element's up-mask and down-mask."""
-    order = lattice.order
-    keep = [*xs, lattice.bottom, lattice.top]
-    inside = order.mask(keep)
-    if any((order._up[x] | order._down[x]) & ~inside for x in xs):
-        return None
-    return order if inside == (1 << len(order)) - 1 else order.restrict(keep)
-
-
-# One component: its elements (pairs in search order) and, per verified
-# solution, their images in that order.
-_Component = tuple[list[str], list[tuple[str, ...]]]
-
-
-def _search(iso: BsubIso) -> tuple[list[str], list[_Component]]:
-    """The orientation search, one component at a time.
-
-    Returns the domain in the order the search assigns it (0, 1, then each
-    pair in search order) and every component with its verified solutions.
-    Raises NoSolution when some component has none, or when j's pair
-    targets cannot be matched at all.
-    """
+    Returns the solution that gives each free pair its first orientation,
+    its mapping listing 0, 1, then the pairs most shared between blocks
+    first, and the free pairs.  Raises InconsistentLevels when j's pair
+    targets do not fit together, NoSolution when no OML isomorphism does."""
     left, right = iso.left, iso.right
     pairs = _complementary_pairs(left)
     targets: list[tuple[str, str]] = []
@@ -202,22 +148,15 @@ def _search(iso: BsubIso) -> tuple[list[str], list[_Component]]:
                 f"image of pair subalgebra {{{x},{xc}}} is not a pair subalgebra"
             )
         targets.append((rest[0], rest[1]))
-    # Defensive pair-level check on every subalgebra image.  It also settles
-    # the trivial subalgebra {0, 1}, the one that lies in no component.
-    bsub_l = boolean_subalgebras(left)
-    pair_target = dict(zip(pairs, targets))
-    pair_of = {m: p for p in pairs for m in p}
-    # Each subalgebra's member set and its image under j, worked out once.
-    images = [
-        (members_of_label(label), iso.apply_members(members_of_label(label)))
-        for label in bsub_l.elements
-    ]
-    for label, (members, image) in zip(bsub_l.elements, images):
+    # Defensive pair-level check on every subalgebra image.
+    target_of = {m: target for p, target in zip(pairs, targets) for m in p}
+    for label in boolean_subalgebras(left).elements:
+        members = members_of_label(label)
         expected = {right.bottom, right.top}
         for m in members:
-            if m in pair_of:
-                expected.update(pair_target[pair_of[m]])
-        if frozenset(expected) != image:
+            if m in target_of:
+                expected.update(target_of[m])
+        if frozenset(expected) != iso.apply_members(members):
             raise InconsistentLevels(
                 f"subalgebra image of {label} is not the union of pair images"
             )
@@ -230,174 +169,111 @@ def _search(iso: BsubIso) -> tuple[list[str], list[_Component]]:
 
     left_blocks = blocks(left)
     block_count = {p: sum(p[0] in b.members for b in left_blocks) for p in pairs}
-    search_order = sorted(pairs, key=lambda p: (-block_count[p], p))
-    components = _components(search_order, pair_of, left_blocks)
-    component_of = {
-        m: i for i, group in enumerate(components) for p in group for m in p
-    }
-    # D's non-bound members lie in one block, hence in one component; the
-    # trivial subalgebra has none and was settled above.
-    inside: list[list[tuple[frozenset[str], frozenset[str]]]] = [
-        [] for _ in components
-    ]
-    for members, image in images:
-        i = next((component_of[m] for m in members if m in component_of), None)
-        if i is not None:
-            inside[i].append((members, image))
-
-    solved = []
-    for group, subalgebras in zip(components, inside):
-        xs = [m for p in group for m in p]
-        source = _closed_part(left, xs)
-        if source is None:
-            raise RuntimeError(
-                "an order relation crosses two block components of L, which "
-                "no orthomodular lattice has"
-            )
-        # An order relation between two target groups has no counterpart in
-        # L, so no bijection can match it.
-        target = _closed_part(right, [y for p in group for y in pair_target[p]])
-        if target is None:
-            raise NoSolution(
-                "an order relation of the target lattice crosses the images "
-                "of two block components"
-            )
-        solutions = _component_solutions(
-            iso, group, pair_target, source, target, subalgebras
+    pairs.sort(key=lambda p: (-block_count[p], p))
+    reading = {left.bottom: right.bottom, left.top: right.top}
+    for block in left_blocks:
+        if len(block.atoms) >= 3:
+            _read_block(iso, block, target_of, reading)
+    free = [p for p in pairs if p[0] not in reading]
+    for x, xc in free:
+        reading[x], reading[xc] = target_of[x]
+    domain = [left.bottom, left.top, *(m for p in pairs for m in p)]
+    try:
+        k = verify_oml_iso(left, right, {x: reading[x] for x in domain})
+    except NotOrderIso as exc:
+        raise NoSolution(
+            f"no OML isomorphism induces this BSub isomorphism: an order "
+            f"relation crosses the images of the pairs ({exc})"
         )
-        if not solutions:
-            raise NoSolution("no OML isomorphism induces this BSub isomorphism")
-        solved.append((xs, solutions))
-    domain = [left.bottom, left.top, *(m for p in search_order for m in p)]
-    return domain, solved
+    return k, free
 
 
-def _component_solutions(
+def _read_block(
     iso: BsubIso,
-    group: list[tuple[str, str]],
-    pair_target: Mapping[tuple[str, str], tuple[str, str]],
-    source: Poset,
-    target: Poset,
-    subalgebras: list[tuple[frozenset[str], frozenset[str]]],
-) -> list[tuple[str, ...]]:
-    """Every orientation of the pairs of one component that passes the full
-    check there: an order-isomorphism source -> target that commutes with
-    ortho and maps each of the component's subalgebras onto its j-image.
-    Search: pairs in group order, pruned by partial order-consistency.  A
-    solution lists the images of the group's pairs in order."""
+    block: BooleanSubalgebra,
+    target_of: Mapping[str, tuple[str, str]],
+    reading: dict[str, str],
+) -> None:
+    """Add to reading the images of a block B with 3 or more atoms: each atom
+    goes to the one element of its pair target that is an atom of j(B), and
+    every other member to the join of the images of its atoms.  Atoms are
+    read first, then the members by name."""
     left, right = iso.left, iso.right
-    solutions: list[tuple[str, ...]] = []
-    assignment: dict[str, str] = {
-        left.bottom: right.bottom,
-        left.top: right.top,
-    }
+    name = block.label()
+    target = right._subalgebras.get(subalgebra_label(iso.apply_members(block.members)))
+    if target is None:
+        raise NoSolution(f"the image of block {name} is not a Boolean subalgebra")
+    atom_image = {}
+    for a in block.atoms:
+        found = [y for y in target_of[a] if y in target.atoms]
+        if len(found) != 1:
+            raise NoSolution(f"atom {a} of block {name} has {len(found)} candidates")
+        atom_image[a] = found[0]
+    for x in sorted(block.members, key=lambda x: (x not in atom_image, x)):
+        y = right.join_of(atom_image[a] for a in block.atoms if left.leq(a, x))
+        if x in target_of and y not in target_of[x]:
+            raise NoSolution(f"block {name} maps {x} to {y}, outside its pair image")
+        if reading.setdefault(x, y) != y:
+            raise NoSolution(f"two blocks map {x} to {reading[x]} and {y}")
 
-    def consistent(x: str, y: str) -> bool:
-        return extends_order_iso(left.order, right.order, assignment.items(), x, y)
 
-    def verified() -> bool:
-        try:
-            order_iso(source, target, assignment)
-        except NotOrderIso:
-            return False
-        return all(
-            assignment[left.ortho[x]] == right.ortho[assignment[x]]
-            for x in source.elements
-        ) and all(
-            image == frozenset(map(assignment.__getitem__, members))
-            for members, image in subalgebras
-        )
+def _listing(k: OmlIso, free: list[tuple[str, str]]) -> list[OmlIso]:
+    """k under every orientation of the free pairs, sorted by mapping_items().
 
-    def assign(i: int) -> None:
-        if i == len(group):
-            if verified():
-                solutions.append(tuple(assignment[m] for p in group for m in p))
-            return
-        x, xc = group[i]
-        c, cc = pair_target[(x, xc)]
-        for img, img_c in ((c, cc), (cc, c)):
-            if consistent(x, img) and consistent(xc, img_c):
-                assignment[x] = img
-                assignment[xc] = img_c
-                assign(i + 1)
-                del assignment[x]
-                del assignment[xc]
-
-    assign(0)
+    Each free pair lies in one block, so _read lists the free pairs by name.
+    A pair's first member precedes its complement, and k sends it to the
+    smaller name of the two targets, so the product over the free pairs,
+    each unflipped before flipped, is already sorted.  Each mapping keeps
+    k's insertion order."""
+    names = [m for p in free for m in p]
+    images = [(k.mapping[x], k.mapping[xc]) for x, xc in free]
+    solutions = []
+    for parts in itertools.product(*(((y, yc), (yc, y)) for y, yc in images)):
+        mapping = dict(k.mapping)
+        mapping.update(zip(names, itertools.chain.from_iterable(parts)))
+        solutions.append(OmlIso(k.source, k.target, mapping))
     return solutions
-
-
-def _assemble(
-    iso: BsubIso, domain: list[str], components: list[_Component]
-) -> list[OmlIso]:
-    """The product of the component solutions, one OmlIso each, whose
-    mapping lists domain in order; sorted by mapping_items().
-
-    A row holds the images of 0, 1 and each component's elements in turn.
-    Every row has the same domain, so its images in sorted-domain order are
-    an equivalent sort key.
-    """
-    left, right = iso.left, iso.right
-    listed = [left.bottom, left.top, *(x for xs, _ in components for x in xs)]
-    column = {x: i for i, x in enumerate(listed)}
-    by_domain = operator.itemgetter(*(column[x] for x in domain))
-    by_name = operator.itemgetter(*(column[x] for x in sorted(left.elements)))
-    bounds = (right.bottom, right.top)
-    rows = [
-        bounds + tuple(itertools.chain.from_iterable(parts))
-        for parts in itertools.product(*(solutions for _, solutions in components))
-    ]
-    rows.sort(key=by_name)
-    return [OmlIso(left, right, dict(zip(domain, by_domain(row)))) for row in rows]
 
 
 def reconstruct_oml_isos(iso: BsubIso) -> list[OmlIso]:
     """All OML isomorphisms k with k[D] = j(D) for every Boolean subalgebra D,
     sorted by mapping_items().
 
-    Search: one orientation variable per complementary pair, solved one
-    block component at a time (see the module docstring): pairs most shared
-    between blocks first, with partial order-consistency pruning; every
-    complete assignment of a component is verified exhaustively on it
-    (order-isomorphism of the component plus 0 and 1, ortho, and k[D] = j(D)
-    for every D inside it).  No order relation crosses two components on
-    either side (checked once per call) and every D lies in one component,
-    so these checks add up to the full OmlIso axioms plus k[D] = j(D) for
-    all D, and the solutions are exactly the Cartesian product of the
-    component solutions.  Raises NoSolution when nothing survives.
+    The blocks with 3 or more atoms fix their elements' images; every
+    orientation of the remaining pairs, those of the 4-element blocks, is a
+    solution once one is (see the module docstring).  One map is verified
+    as an OML isomorphism.  Raises NoSolution when it fails.
     """
-    return _assemble(iso, *_search(iso))
+    return _listing(*_read(iso))
 
 
 def count_oml_isos(iso: BsubIso) -> int:
-    """len(reconstruct_oml_isos(iso)) without listing the solutions: the
-    product of the component solution counts."""
-    return math.prod(len(solutions) for _, solutions in _search(iso)[1])
+    """len(reconstruct_oml_isos(iso)) without listing the solutions: 2 to the
+    number of free pairs."""
+    return 2 ** len(_read(iso)[1])
 
 
 def certify_unique(iso: BsubIso) -> OmlIso:
     """Reconstruct and certify the unique solution.
 
     Requires that neither OML has a 4-element block; under that hypothesis
-    reconstruction is guaranteed to have exactly one solution.  The
-    solutions are the product of the component solutions, so each component
-    must have exactly one; otherwise the full list is built and reported as
-    an internal-consistency failure with full witnesses.
-    """
+    reconstruction is guaranteed to have exactly one solution.  Free pairs
+    would mean several, reported with full witnesses as an
+    internal-consistency failure."""
     if has_4element_block(iso.left) or has_4element_block(iso.right):
         raise HypothesisViolated(
             "a 4-element block is present; uniqueness requires OMLs "
             "without any 4-element blocks"
         )
-    domain, components = _search(iso)
-    if any(len(solutions) != 1 for _, solutions in components):
-        sols = _assemble(iso, domain, components)
+    k, free = _read(iso)
+    if free:
+        sols = _listing(k, free)
         witness = "; ".join(str(dict(s.mapping)) for s in sols)
         raise UniquenessFailed(
             f"{len(sols)} solutions where the uniqueness guarantee "
             f"promises one: {witness}"
         )
-    return _assemble(iso, domain, components)[0]
+    return k
 
 
 # ---------------------------------------------------------------------------

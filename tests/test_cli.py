@@ -419,6 +419,19 @@ def test_bell_check(capsys):
     assert main(["bell-check", "--max-atoms", "4"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out and "MISMATCH" not in out
+    # 8 is the largest accepted value (about 1 s on a 2-core x86-64 VM).
+    assert main(["bell-check", "--max-atoms", "8"]) == 0
+    assert capsys.readouterr().out.count(" ok\n") == 8
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "9"])
+def test_bell_check_rejects_max_atoms_outside_range(capsys, value):
+    """--max-atoms is bounded like --max-size: outside 1..8 it is one parse
+    error line on stderr and exit 2, with no table."""
+    assert main(["bell-check", "--max-atoms", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: --max-atoms {value} is outside 1..8\n"
 
 
 def test_counterexample_command(tmp_path, capsys):

@@ -89,13 +89,20 @@ def test_pentagon_rejected_under_every_ortho():
 
 
 def test_missing_join_is_not_lattice():
-    order = verify_poset(
-        ["0", "a", "b", "t1", "t2"],
-        [("0", "a"), ("0", "b"), ("a", "t1"), ("b", "t1"), ("a", "t2"), ("b", "t2")],
-    )
+    relation = [
+        ("0", "a"), ("0", "b"), ("a", "t1"), ("b", "t1"), ("a", "t2"), ("b", "t2")
+    ]
+    ortho = {"0": "t1", "t1": "0", "a": "b", "b": "a", "t2": "t2"}
+    order = verify_poset(["0", "a", "b", "t1", "t2"], relation)
     with pytest.raises(NotLattice) as exc:
-        verify_oml(order, {"0": "t1", "t1": "0", "a": "b", "b": "a", "t2": "t2"})
+        verify_oml(order, ortho)
     assert str(exc.value) == "no join for (a, b)"
+    # The first failing pair in element order, also when it holds the first
+    # element: (t2, t1) has no meet, but (b, a) comes first.
+    order = verify_poset(["b", "t2", "a", "0", "t1"], relation)
+    with pytest.raises(NotLattice) as exc:
+        verify_oml(order, ortho)
+    assert str(exc.value) == "no join for (b, a)"
 
 
 O6_TEXT = (

@@ -129,8 +129,9 @@ def test_reconstruction_count_oracle(name, n):
 
 @pytest.mark.parametrize("name,n", COUNT_CASES)
 def test_count_equals_listing(name, n):
-    """count_oml_isos multiplies the component counts without listing the
-    solutions; it must agree with the listing.  Time bound: 2 s per case."""
+    """count_oml_isos counts the orientations of the free pairs without
+    listing the solutions; it must agree with the listing.  Time bound: 2 s
+    per case."""
     iso = identity_bsub_iso(_count_case_lattice(name, n))
     start = time.perf_counter()
     assert count_oml_isos(iso) == len(reconstruct_oml_isos(iso))
@@ -138,7 +139,7 @@ def test_count_equals_listing(name, n):
 
 
 def test_count_beyond_listing_reach():
-    """MO(40) has 40 components of 2 orientations each: 2^40 solutions,
+    """MO(40) has 40 free pairs of 2 orientations each: 2^40 solutions,
     counted in well under a second (about 0.01 s on a 2-core x86-64 VM),
     where listing them could never finish."""
     iso = identity_bsub_iso(standard("mo", 40))
@@ -168,12 +169,19 @@ def _block_swap(lattice, swap):
         ((("a", "b", "c"), ("d", "e"), ("f", "g")), {"d": "f", "e": "g"}, 4),
         # Two 3-atom blocks sharing an atom: one component of two blocks.
         ((("a", "b", "c"), ("c", "d", "e"), ("f", "g")), {"a": "e", "b": "d"}, 2),
+        # The two 3-atom blocks exchanged beside a 4-atom block through the
+        # same atom: every element is read off a block, one solution.
+        (
+            (("a", "b", "c"), ("c", "d", "e"), ("c", "f", "g", "h")),
+            {"a": "d", "b": "e", "f": "g"},
+            1,
+        ),
     ],
 )
 def test_factored_search_matches_atom_extension_oracle(blks, swap, count):
-    """On pastings with several block components, the per-component search
-    gives the oracle's solutions in the same order.  Time bound: 10 s per
-    case (the oracle tries 7! atom bijections; about 0.2 s on a 2-core
+    """On pastings with several block components, the block reading gives
+    the oracle's solutions in the same order.  Time bound: 10 s per case
+    (the oracle tries up to 8! atom bijections; about 3 s on a 2-core
     x86-64 VM)."""
     lattice = _pasting(*blks)
     iso = _block_swap(lattice, swap)
@@ -212,30 +220,33 @@ def test_factored_search_matches_brute_force_under_block_swap():
 
 
 def test_search_effort_is_linear_in_components(monkeypatch):
-    """MO(12) is 12 components of one pair each: the search makes 4 partial
-    order tests and 2 full order-isomorphism checks per component, not one
-    check per each of the 4,096 complete assignments.  Time bound: 2 s."""
+    """MO(12) is 12 components of one pair each: the reading verifies one
+    map with a single order-isomorphism check and lists the 4,096
+    reorientations of its free pairs without checking each.  Counting and
+    certifying (on horizontal_sum_b8(3)) also check one map.  Time bound:
+    2 s."""
     from omljordan import reconstruct
 
-    calls = {"extends_order_iso": 0, "order_iso": 0}
+    calls = []
+    original = reconstruct.order_iso
 
-    def counted(name):
-        original = getattr(reconstruct, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
     iso = identity_bsub_iso(standard("mo", 12))
-    for name in calls:
-        monkeypatch.setattr(reconstruct, name, counted(name))
+    unique = identity_bsub_iso(standard("horizontal_sum_b8", 3))
+    monkeypatch.setattr(reconstruct, "order_iso", counted)
     start = time.perf_counter()
     assert len(reconstruct_oml_isos(iso)) == 2**12
     assert time.perf_counter() - start < 2.0
-    assert calls["extends_order_iso"] <= 4 * 12
-    assert calls["order_iso"] <= 2 * 12
+    assert len(calls) <= 1
+    calls.clear()
+    assert count_oml_isos(iso) == 2**12
+    assert len(calls) <= 1
+    calls.clear()
+    certify_unique(unique)
+    assert len(calls) <= 1
 
 
 def test_uniqueness_small_without_4blocks():
@@ -402,8 +413,8 @@ def test_no_solution_on_doctored_iso():
 
 def test_no_solution_when_two_pairs_share_a_target():
     """A doctored transport that sends both blocks of MO(2) onto the block
-    {0, 1, a1, b1}: each component alone has solutions, but no bijection
-    covers a2 and b2, so the product must not be taken.  Time bound: 1 s."""
+    {0, 1, a1, b1}: each pair alone has an orientation, but no bijection
+    covers a2 and b2, which the cover check reports.  Time bound: 1 s."""
     lattice = standard("mo", 2)
     bsub = boolean_subalgebras(lattice)
     collapse = {"a2": "a1", "b2": "b1"}
@@ -421,12 +432,75 @@ def test_no_solution_when_two_pairs_share_a_target():
     assert time.perf_counter() - start < 1.0
 
 
+# Two 3-atom blocks sharing the atom c, beside two 4-element blocks, sent
+# onto B16 so that the blocks' images meet in {0, a1+a2, a3+a4, 1} with
+# a1+a2 an atom of one image and a3+a4 an atom of the other.
+SHARED_ATOM_ONTO = {
+    "0": "0",
+    "1": "1",
+    "c": "a1+a2",
+    "a+b": "a3+a4",
+    "a": "a3",
+    "b+c": "a1+a2+a4",
+    "b": "a4",
+    "a+c": "a1+a2+a3",
+    "d": "a1",
+    "c+e": "a2+a3+a4",
+    "e": "a2",
+    "c+d": "a1+a3+a4",
+    "f": "a1+a3",
+    "g": "a2+a4",
+    "h": "a1+a4",
+    "i": "a2+a3",
+}
+# B16 onto itself, fixing every atom but exchanging the pairs {a1+a2, a3+a4}
+# and {a1+a3, a2+a4}.
+JOIN_ONTO = {"a1+a2": "a1+a3", "a3+a4": "a2+a4", "a1+a3": "a1+a2", "a2+a4": "a3+a4"}
+
+
+@pytest.mark.parametrize(
+    "blks, onto, message",
+    [
+        (
+            (("a", "b", "c"), ("c", "d", "e"), ("f", "g"), ("h", "i")),
+            SHARED_ATOM_ONTO,
+            "two blocks map c to",
+        ),
+        (None, JOIN_ONTO, r"maps a1\+a2 to a1\+a2, outside its pair image"),
+    ],
+)
+def test_no_solution_on_doctored_element_transport(blks, onto, message):
+    """Doctored transports onto B16 that map each member set through an
+    element map respecting complementary pairs, so the pair images cover
+    B16 once and every block image is a Boolean subalgebra.  With two 3-atom
+    blocks, each block alone is read consistently, but they send their
+    shared atom c to a1+a2 and to a3+a4.  With B16 itself, every atom has
+    its one candidate, but a1+a2, the join of a1 and a2, lies outside its
+    pair image {a1+a3, a2+a4}; without that check the identity would pass
+    as a solution."""
+    target = standard("boolean", 4)
+    lattice = target if blks is None else _pasting(*blks)
+    onto = {x: onto.get(x, x) for x in lattice.elements}
+    bsub = boolean_subalgebras(lattice)
+
+    class Lying(BsubIso):
+        def apply_members(self, members):
+            return frozenset(onto[x] for x in members)
+
+    lying = Lying(
+        lattice, target, OrderIso(bsub, bsub, {x: x for x in bsub.elements})
+    )
+    with pytest.raises(NoSolution, match=message):
+        reconstruct_oml_isos(lying)
+    with pytest.raises(NoSolution, match=message):
+        count_oml_isos(lying)
+
+
 def test_no_solution_when_target_order_crosses_components():
-    """MO(3)'s three blocks doctored onto the three pairs of B8: each block
-    component alone matches its target pair in 2 ways, but B8 orders
-    elements of different target pairs (a1 <= a1+a2), which MO(3) does not,
-    so no product of component solutions is an isomorphism.  Time bound:
-    1 s."""
+    """MO(3)'s three blocks doctored onto the three pairs of B8: each free
+    pair alone matches its target pair in 2 ways, but B8 orders elements of
+    different target pairs (a1 <= a1+a2), which MO(3) does not, so no
+    orientation is an isomorphism.  Time bound: 1 s."""
     left, right = standard("mo", 3), standard("boolean", 3)
     onto = {"b1": "a2+a3", "b2": "a1+a3", "b3": "a1+a2"}
     bsub = boolean_subalgebras(left)
