@@ -407,7 +407,7 @@ def test_no_solution_on_doctored_iso():
     lying = Lying(
         lattice, lattice, OrderIso(bsub, bsub, {x: x for x in bsub.elements})
     )
-    with pytest.raises(NoSolution):
+    with pytest.raises(NoSolution, match="is not a Boolean subalgebra"):
         reconstruct_oml_isos(lying)
 
 
@@ -456,6 +456,8 @@ SHARED_ATOM_ONTO = {
 # B16 onto itself, fixing every atom but exchanging the pairs {a1+a2, a3+a4}
 # and {a1+a3, a2+a4}.
 JOIN_ONTO = {"a1+a2": "a1+a3", "a3+a4": "a2+a4", "a1+a3": "a1+a2", "a2+a4": "a3+a4"}
+# B16 onto itself, exchanging the pairs {a1, a2+a3+a4} and {a1+a2, a3+a4}.
+ATOM_ONTO = {"a1": "a1+a2", "a2+a3+a4": "a3+a4", "a1+a2": "a1", "a3+a4": "a2+a3+a4"}
 
 
 @pytest.mark.parametrize(
@@ -467,6 +469,7 @@ JOIN_ONTO = {"a1+a2": "a1+a3", "a3+a4": "a2+a4", "a1+a3": "a1+a2", "a2+a4": "a3+
             "two blocks map c to",
         ),
         (None, JOIN_ONTO, r"maps a1\+a2 to a1\+a2, outside its pair image"),
+        (None, ATOM_ONTO, r"atom a1 of block \{.*\} has 0 candidates"),
     ],
 )
 def test_no_solution_on_doctored_element_transport(blks, onto, message):
@@ -477,7 +480,8 @@ def test_no_solution_on_doctored_element_transport(blks, onto, message):
     shared atom c to a1+a2 and to a3+a4.  With B16 itself, every atom has
     its one candidate, but a1+a2, the join of a1 and a2, lies outside its
     pair image {a1+a3, a2+a4}; without that check the identity would pass
-    as a solution."""
+    as a solution.  With the pair of a1 sent onto {a1+a2, a3+a4}, the atom
+    a1 has no atom of B16 in its pair image."""
     target = standard("boolean", 4)
     lattice = target if blks is None else _pasting(*blks)
     onto = {x: onto.get(x, x) for x in lattice.elements}
