@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes are a contract for scripting: 0 success, 1 invariant/verification
-failure (including ambiguity, and a fragment too small for step j, reported
-as one `insufficient fragment: ...` line), 2 parse or usage errors.  All
-output is deterministic for identical inputs.
+failure (including ambiguity, and an f that no Jordan map induces, reported
+as one `invariant failure: NoSolution: ...` line), 2 parse or usage errors.
+All output is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ INVARIANT_FAILURES = (
     matalg.InvalidPartition,
     matalg.NotProjection,
     reconstruct.InconsistentLevels,
+    reconstruct.NoSolution,
 )
 
 # The arguments that name input files, in the order they are checked.
@@ -61,9 +62,6 @@ def main(argv: list[str] | None = None) -> int:
     except pipeline.InvalidInstance as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return 2
-    except pipeline.InsufficientFragment as exc:
-        print(f"insufficient fragment: {exc}")
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:

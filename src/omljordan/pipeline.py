@@ -1,11 +1,23 @@
 """End-to-end realization of the reconstruction theorem at finite scale.
 
 Starting from an order-isomorphism f between two abelian fragments, the
-pipeline walks the whole reconstruction chain: restrict to the finite part (identity
-here, but executed and logged), transport along the projection
-correspondence, extend over the subalgebra posets via ideals, reconstruct
-the projection-lattice isomorphism, and extend spectrally to a Jordan map.
-Claims and uniqueness are verified as separate reports.
+pipeline restricts f to the finite part (identity here, but executed and
+logged), reads F's projection map off f at the fragment's roots, and
+extends it spectrally to a Jordan map.  Claims and uniqueness are verified
+as separate reports.
+
+The roots are the maximal members.  A coarsening-closed fragment is the
+union of its roots' Boolean projection algebras, glued along the
+projections they share, and the members below a root are the Boolean
+subalgebras of its algebra, so f maps them root by root.  A Boolean
+algebra with 3 or more atoms is fixed by its subalgebras (Sachs, "The
+lattice of subalgebras of a Boolean algebra", 1962; Harding and Navara,
+"Subalgebras of orthomodular lattices", 2011): an atom a of a root r maps
+to the one atom of f({a, 1-a}) that is also an atom of f(r), and every
+other projection of r to the sum of its atoms' images.  Each step is a
+lookup in the two projection indexes.  A root with 2 atoms shares only 0
+and 1 with the other roots, so f leaves its orientation free; step F keeps
+the orientations whose projection map extends linearly.
 
 The fidelity contract is span-restricted: the returned map agrees with any
 inducing Jordan isomorphism exactly on the span of the declared fragment.
@@ -13,17 +25,18 @@ inducing Jordan isomorphism exactly on the span of the declared fragment.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from . import reconstruct as rec
 from .jordan import (
     JordanMap,
     ProjMapFragment,
     Report,
     ReportEntry,
+    SpanInconsistent,
     image_fragment,
     jordan_map,
     spectral_extend,
@@ -35,29 +48,18 @@ from .matalg import (
     FinDimAlgebra,
     InvalidPartition,
     NotProjection,
-    Projection,
     check_coarsening_closed,
     fragment,
     is_type_I2_free,
     parse_algebra_text,
     partition_of_unity,
-    projection_oml,
     serialize_algebra,
     spans_equal,
 )
-from .oml import Oml, boolean_subalgebras, subalgebra_label
 from .poset import (
-    JoinMissing,
-    NotAnIdeal,
-    NotGenerated,
-    OrderIso,
-    ParseError,
-    content_lines,
-    extend_iso_via_ideals,
-    finite_part,
-    image_mask,
-    order_iso,
+    OrderIso, ParseError, content_lines, finite_part, image_mask, order_iso
 )
+from .reconstruct import NoSolution
 
 log = logging.getLogger(__name__)
 
@@ -67,24 +69,22 @@ class InvalidInstance(Exception):
 
 
 class InsufficientFragment(Exception):
-    """The fragment does not generate the subalgebra poset level needed.
+    """A coarsening {a, 1-a} of the root ``root`` of M is no member, so step
+    h cannot read the image of a.  Coarsening-closed fragments hold them all:
+    only a TheoremInstance built without theorem_instance gets here."""
 
-    Witness: ``outside`` is the first Boolean subalgebra (a BSub label) of
-    side ``side`` ("M" or "N") whose projections are no fragment member's.
-    """
-
-    def __init__(self, message: str, side: str, outside: str):
+    def __init__(self, message: str, root: str):
         super().__init__(message)
-        self.side = side
-        self.outside = outside
+        self.root = root
 
 
 class AmbiguousReconstruction(Exception):
-    """Multiple projection-lattice isomorphisms are consistent with f.
+    """Several orientations of f's 2-atom roots extend to Jordan maps.
 
-    Expected exactly when 4-element blocks are present (the hypothesis
-    'without any 4-element blocks' fails) or the fragment is too small.
-    Carries all candidate Jordan maps for diagnostics.
+    A 2-atom root's projections form a 4-element block.  In a 2x2 summand
+    every root has 2 atoms (the hypothesis 'without any 4-element blocks'
+    fails), and a small fragment may have such a root anywhere.  Carries all
+    candidate Jordan maps for diagnostics.
     """
 
     def __init__(self, message: str, candidates: list[JordanMap]):
@@ -153,11 +153,6 @@ class PipelineRun:
 
     instance: TheoremInstance
     steps: list[str] = field(default_factory=list)
-    lattice_m: Oml | None = None
-    lattice_n: Oml | None = None
-    label_to_proj_m: dict[str, Projection] = field(default_factory=dict)
-    label_to_proj_n: dict[str, Projection] = field(default_factory=dict)
-    reconstruction_candidates: list[rec.OmlIso] = field(default_factory=list)
     jordan_maps: list[JordanMap] = field(default_factory=list)
 
     def note(self, message: str) -> None:
@@ -165,8 +160,62 @@ class PipelineRun:
         log.info(message)
 
 
+def _read_roots(
+    t: TheoremInstance, roots: tuple[str, ...]
+) -> tuple[dict[int, int], list[tuple[int, int]]]:
+    """Step h: F's projection map, from positions in M's projection index to
+    positions in N's, read off f at the roots (see the module docstring).
+    A 2-atom root's lower atom goes to the lower atom of its image; those
+    roots are also returned, as their atom positions, lower first.
+
+    Raises NoSolution when f maps a root onto a member with another atom
+    count, when f({a, 1-a}) has not exactly one atom of f(r), or when two
+    roots map a shared projection to different images."""
+    index_m, index_n = t.fragment_m.index, t.fragment_n.index
+    member_of = {mask: name for name, mask in index_m.masks.items()}
+    bounds = 1 | 1 << len(index_m.projections) - 1
+    reading: dict[int, int] = {}
+    free = []
+    for root in roots:
+        image = t.f.apply(root)
+        # each root's projection positions, indexed by subsets of its atoms
+        at_m, at_n = (
+            [frag.index.position[k] for k in frag.partitions[x].projection_algebra.keys]
+            for frag, x in ((t.fragment_m, root), (t.fragment_n, image))
+        )
+        if len(at_m) != len(at_n):
+            raise NoSolution(
+                f"f maps the root {root!r} onto {image!r}, with another atom count"
+            )
+        k = len(index_m.atoms[root])
+        bits = [1 << i for i in range(k)]  # per atom, its image's bit in image
+        if k == 2:
+            free.append(tuple(sorted(at_m[1:3])))
+            if (at_m[1] < at_m[2]) != (at_n[1] < at_n[2]):
+                bits.reverse()
+        for i in range(k if k > 2 else 0):
+            pair = member_of.get(bounds | 1 << at_m[1 << i] | 1 << at_m[~(1 << i)])
+            if pair is None:
+                raise InsufficientFragment(
+                    f"no member is the coarsening {{a, 1-a}} of {root!r}", root
+                )
+            shared = set(index_n.atoms[t.f.apply(pair)])
+            found = [1 << j for j, y in enumerate(index_n.atoms[image]) if y in shared]
+            if len(found) != 1:
+                raise NoSolution(f"f({pair!r}) has {len(found)} atoms of f({root!r})")
+            bits[i] = found[0]
+        for u, x in enumerate(at_m):
+            y = at_n[sum(b for i, b in enumerate(bits) if u >> i & 1)]
+            if reading.setdefault(x, y) != y:
+                raise NoSolution(
+                    f"the root {root!r} maps a shared projection to another image"
+                )
+    return reading, sorted(free)
+
+
 def execute(instance: TheoremInstance) -> PipelineRun:
-    """Run the reconstruction chain; never raises on ambiguity (run_pipeline does)."""
+    """Run the reconstruction chain; never raises on ambiguity (run_pipeline
+    does).  Raises NoSolution when no Jordan map can induce f."""
     run = PipelineRun(instance)
     t = instance
     if not is_type_I2_free(t.algebra_m) or not is_type_I2_free(t.algebra_n):
@@ -179,92 +228,43 @@ def execute(instance: TheoremInstance) -> PipelineRun:
     # f's source is the fragment poset theorem_instance validated f against.
     poset_m = t.f.source
     fp = finite_part(poset_m)
-    g = t.f
     run.note(
         f"step g: restricted f to the finite part ({len(fp)} of "
         f"{len(poset_m)} fragment members; identity restriction at finite "
         "dimension)"
     )
 
-    # Step h: transport along S -> S n Proj through both projection OMLs.
-    # projection_oml's lattice lists the index's projections in index order
-    # (0 and 1 are in every fragment), so a member's BSub label is its mask's.
-    index_m, index_n = t.fragment_m.index, t.fragment_n.index
-    lattice_m, by_label_m = projection_oml(t.algebra_m, index_m.projections)
-    lattice_n, by_label_n = projection_oml(t.algebra_n, index_n.projections)
-    run.lattice_m, run.lattice_n = lattice_m, lattice_n
-    run.label_to_proj_m, run.label_to_proj_n = by_label_m, by_label_n
-    bsub_m = boolean_subalgebras(lattice_m)
-    bsub_n = boolean_subalgebras(lattice_n)
-    h_mapping: dict[str, str] = {}
-    for name in t.fragment_m.names():
-        src = subalgebra_label(lattice_m.order.members(index_m.masks[name]))
-        dst = subalgebra_label(lattice_n.order.members(index_n.masks[g.apply(name)]))
-        # distinct members are distinct partitions, so their labels differ
-        h_mapping[src] = dst
-    h_source = bsub_m.restrict(sorted(h_mapping.keys()))
-    h_target = bsub_n.restrict(sorted(set(h_mapping.values())))
-    h = order_iso(h_source, h_target, h_mapping)
+    # Step h: read F's projection map off f at the roots, the maximal members.
+    roots = poset_m.maximal_elements()
+    reading, free = _read_roots(t, roots)
     run.note(
-        f"step h: transported f through the projection correspondence "
-        f"({len(h_mapping)} Boolean projection algebras)"
+        f"step h: read the projection map off f at {len(roots)} roots; "
+        f"{len(free)} have 2 atoms, whose orientation f leaves free"
     )
 
-    # Step j: ideal-completion extension over the full subalgebra posets.
-    # When the fragment covers both posets the extension is the identity
-    # and cannot fail, so a failure leaves a subalgebra outside it.
-    try:
-        j = extend_iso_via_ideals(h, bsub_m, bsub_n)
-    except (NotGenerated, NotAnIdeal, JoinMissing) as exc:
-        covered = {"M": set(h_mapping), "N": set(h_mapping.values())}
-        side, outside = next(
-            (side, x)
-            for side, bsub in (("M", bsub_m), ("N", bsub_n))
-            for x in bsub.elements
-            if x not in covered[side]
-        )
-        raise InsufficientFragment(
-            "the fragment does not generate the full Boolean-subalgebra "
-            f"poset of its projection lattice: {outside} of BSub({side}) is "
-            f"outside the fragment ({type(exc).__name__}: {exc})",
-            side,
-            outside,
+    # Step F: spectral extension of each orientation, unflipped before flipped
+    # per 2-atom root; jordan_map refuses those that are not linear.
+    projections_m = t.fragment_m.index.projections
+    projections_n = t.fragment_n.index.projections
+    for flips in itertools.product((False, True), repeat=len(free)):
+        psi = dict(reading)
+        for (a, b), flip in zip(free, flips):
+            if flip:
+                psi[a], psi[b] = reading[b], reading[a]
+        pairs = tuple((p, projections_n[psi[i]]) for i, p in enumerate(projections_m))
+        try:
+            proj_map = ProjMapFragment(t.algebra_m, t.algebra_n, pairs)
+            run.jordan_maps.append(spectral_extend(proj_map, []))
+        except SpanInconsistent:
+            pass
+    if not run.jordan_maps:
+        raise NoSolution(
+            f"none of the {2 ** len(free)} orientations of the 2-atom roots is linear"
         )
     run.note(
-        f"step j: extended over the subalgebra posets "
-        f"({len(bsub_m)} Boolean subalgebras; identity extension when the "
-        "fragment already covers them)"
-    )
-
-    # Step k: reconstruct the projection-lattice isomorphism(s).
-    bsub = rec.bsub_iso(lattice_m, lattice_n, dict(j.mapping))
-    hypothesis_ok = not (
-        rec.has_4element_block(lattice_m) or rec.has_4element_block(lattice_n)
-    )
-    if hypothesis_ok:
-        candidates = [rec.certify_unique(bsub)]
-        run.note("step k: unique projection-lattice isomorphism certified")
-    else:
-        candidates = rec.reconstruct_oml_isos(bsub)
-        run.note(
-            f"step k: {len(candidates)} candidate projection-lattice "
-            "isomorphisms (4-element blocks present: uniqueness requires "
-            "lattices without any 4-element blocks)"
-        )
-    run.reconstruction_candidates = candidates
-
-    # Step F: spectral extension of each candidate over the fragment.
-    # A verified OmlIso of projection OMLs is already a valid ProjMapFragment.
-    for k in candidates:
-        pairs = tuple(
-            (by_label_m[x], by_label_n[k.apply(x)]) for x in lattice_m.elements
-        )
-        psi = ProjMapFragment(t.algebra_m, t.algebra_n, pairs)
-        run.jordan_maps.append(spectral_extend(psi, []))
-    span_dim = run.jordan_maps[0].span_dimension() if run.jordan_maps else 0
-    run.note(
-        f"step F: spectral extension over {len(lattice_m)} fragment "
-        f"projections (span dimension {span_dim})"
+        f"step F: spectral extension over {len(projections_m)} fragment "
+        f"projections (span dimension {run.jordan_maps[0].span_dimension()}; "
+        f"{len(run.jordan_maps)} of {2 ** len(free)} orientations are linear)"
     )
     return run
 
@@ -329,16 +329,16 @@ def verify_claims(instance: TheoremInstance, F: JordanMap) -> Report:
 
 
 def verify_uniqueness(instance: TheoremInstance, F: JordanMap) -> Report:
-    """(a) the reconstruction step of the instance's single run has
-    exactly one solution; (b) the fragment projections span F's domain, so
-    any map agreeing with F on them agrees on the whole span."""
-    candidates = instance.run.reconstruction_candidates
-    witness = "; ".join(str(dict(k.mapping)) for k in candidates)
+    """(a) the instance's single run kept exactly one candidate; (b) the
+    fragment projections span F's domain, so any map agreeing with F on them
+    agrees on the whole span."""
+    candidates = instance.run.jordan_maps
     entries = [
         ReportEntry.of(
             "unique-reconstruction",
             len(candidates) == 1,
-            f"{len(candidates)} candidates: {witness}",
+            f"{len(candidates)} candidates, one per linear orientation of "
+            "the 2-atom roots",
         )
     ]
     projections = [

@@ -20,11 +20,13 @@ from omljordan.pipeline import induced_instance, write_instance_files
 from omljordan.reconstruct import identity_bsub_iso, serialize_bsub_iso
 
 from .conftest import (
+    crossed_roots_instance,
     diag_plus_rotated_fragment,
     diagonal_partition,
     rotated_partition,
     rotation_unitary,
     three_partition_fragment,
+    unrelated_pairs_instance,
 )
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -258,25 +260,53 @@ def test_pipeline_machine_format(tmp_path, capsys):
     assert payload["candidates"] == 4
 
 
-def test_pipeline_insufficient_fragment_is_one_line(tmp_path, m3, capsys):
-    """Step j on a fragment that leaves a Boolean subalgebra uncovered:
-    one report line, exit 1, in both output formats.  Time bound: 10 s
-    (about 0.1 s on a 2-core x86-64 VM)."""
+@pytest.mark.parametrize("map_name", ["identity", "transpose"])
+def test_pipeline_three_partition_fragment_passes(tmp_path, m3, capsys, map_name):
+    """A fragment of three 2-atom roots, whose projections are no lattice
+    that BSub covers: exit 0 and every report entry PASS, in both output
+    formats.  Time bound: 10 s (about 0.1 s on a 2-core x86-64 VM)."""
+    g = {"identity": identity_map, "transpose": transpose_map}[map_name](m3)
     start = time.perf_counter()
-    instance = induced_instance(transpose_map(m3), three_partition_fragment(m3))
-    path = write_instance_files(tmp_path, "uncovered", instance)
+    instance = induced_instance(g, three_partition_fragment(m3))
+    path = write_instance_files(tmp_path, "three", instance)
+    assert main(["pipeline", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    reports = [line for line in out.splitlines() if not line.startswith("step: ")]
+    assert len(reports) == 15 and all(line.startswith("PASS ") for line in reports)
+    assert main(["pipeline", str(path), "--format", "machine"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["candidates"] == 1
+    assert payload["claims"]["passed"] and payload["uniqueness"]["passed"]
+    assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        (
+            "crossed",
+            "the root 'second' maps a shared projection to another image",
+        ),
+        (
+            "unrelated",
+            "none of the 8 orientations of the 2-atom roots is linear",
+        ),
+    ],
+)
+def test_pipeline_non_induced_f_is_one_line(tmp_path, m3, capsys, name, message):
+    """An f that no Jordan map induces: one invariant-failure line naming
+    NoSolution, exit 1 and an empty stderr, in both output formats."""
+    instance = {
+        "crossed": crossed_roots_instance,
+        "unrelated": lambda: unrelated_pairs_instance(m3),
+    }[name]()
+    path = write_instance_files(tmp_path, name, instance)
     for extra in ([], ["--format", "machine"]):
         assert main(["pipeline", str(path), *extra]) == 1
         out, err = capsys.readouterr()
         assert err == ""
-        assert out.splitlines() == [
-            "insufficient fragment: the fragment does not generate the full "
-            "Boolean-subalgebra poset of its projection lattice: "
-            "{0,1,q0,q1,q2,q3,q4,q5} of BSub(M) is outside the fragment "
-            "(NotAnIdeal: downset of {0,1,q0,q1,q2,q3,q4,q5} in the finite "
-            "part is not an ideal)"
-        ]
-    assert time.perf_counter() - start < 10.0
+        assert out == f"invariant failure: NoSolution: {message}\n"
 
 
 def test_module_run_writes_no_stderr():

@@ -5,10 +5,12 @@ import pytest
 from omljordan.combinat import set_partitions
 from omljordan.jordan import (
     JordanMap,
+    ProjMapFragment,
     ad_unitary,
     compose_maps,
     identity_map,
     image_fragment,
+    spectral_extend,
     transpose_map,
 )
 from omljordan.matalg import (
@@ -18,8 +20,15 @@ from omljordan.matalg import (
     fragment,
     fragment_poset,
     partition_of_unity,
+    projection_oml,
     psi_project,
     trivial_partition,
+)
+from omljordan.oml import (
+    NotLattice,
+    OrthomodularityFails,
+    boolean_subalgebras,
+    subalgebra_label,
 )
 from omljordan.pipeline import (
     AmbiguousReconstruction,
@@ -35,15 +44,20 @@ from omljordan.pipeline import (
     verify_uniqueness,
     write_instance_files,
 )
-from omljordan.poset import order_iso
+from omljordan.poset import OrderIso, extend_iso_via_ideals, order_iso
+from omljordan.reconstruct import NoSolution, bsub_iso, reconstruct_oml_isos
 
 from .conftest import (
+    crossed_roots_instance,
     diag_plus_rotated_fragment,
     diagonal_partition,
+    four_bases_fragment,
     rotated_partition,
     rotation_unitary,
     three_partition_fragment,
+    unrelated_pairs_instance,
 )
+from .test_acceptance import _permutation_unitary
 
 
 def _round_trip_instance(algebra, g):
@@ -100,20 +114,19 @@ def test_round_trip_transpose_ad_u(m3):
 
 
 def test_h_step_transport_property(m3):
-    """h(S n Proj M) = g(S) n Proj N for every fragment member."""
+    """F(S n Proj M) = g(S) n Proj N for every fragment member."""
     g = ad_unitary(m3, rotation_unitary(m3))
     instance, frag = _round_trip_instance(m3, g)
     run = execute(instance)
+    assert len(run.jordan_maps) == 1
+    (F,) = run.jordan_maps
     t = instance
     for name in t.fragment_m.names():
         part = t.fragment_m.partitions[name]
         image_part = t.fragment_n.partitions[t.f.apply(name)]
         lhs = {
-            run.label_to_proj_n[
-                run.reconstruction_candidates[0].apply(label)
-            ].sort_key()
-            for label, proj in run.label_to_proj_m.items()
-            if proj.sort_key() in {p.sort_key() for p in psi_project(part)}
+            F.apply(AlgElement(p.algebra, p.blocks)).sort_key()
+            for p in psi_project(part)
         }
         rhs = {p.sort_key() for p in psi_project(image_part)}
         assert lhs == rhs
@@ -150,7 +163,7 @@ def test_ambiguous_reconstruction_dims2():
 def test_ambiguity_count_is_four_for_mo2_fragment():
     instance = _counterexample_instance()
     run = execute(instance)
-    assert len(run.reconstruction_candidates) == 4
+    assert len(run.jordan_maps) == 4
 
 
 def test_verify_uniqueness_fails_on_ambiguous():
@@ -180,21 +193,20 @@ def test_insufficient_fragment_single_maximal_partition(m31):
 
 
 @pytest.mark.parametrize("map_name", ["identity", "transpose"])
-def test_insufficient_fragment_names_first_subalgebra_outside(m3, map_name):
-    """A valid instance whose projection lattice has a Boolean subalgebra
-    (its top, B8 itself) that no member covers: step j's failure is one
-    InsufficientFragment naming it, not a bare poset exception.  Time bound:
-    5 s (about 0.03 s on a 2-core x86-64 VM)."""
+def test_three_partition_fragment_reconstructs(m3, map_name):
+    """Three 2-atom roots whose projections satisfy e1 + e2 = f1 + f2: of
+    their 8 orientations only the one of g extends linearly, so F = g and
+    every claim passes.  Time bound: 5 s (about 0.03 s on a 2-core x86-64
+    VM)."""
     g = {"identity": identity_map, "transpose": transpose_map}[map_name](m3)
     start = time.perf_counter()
-    instance = induced_instance(g, three_partition_fragment(m3))
-    with pytest.raises(InsufficientFragment, match="outside the fragment") as info:
-        run_pipeline(instance)
+    frag = three_partition_fragment(m3)
+    instance = induced_instance(g, frag)
+    F = run_pipeline(instance)
+    assert _maps_agree_on_fragment(F, g, frag)
+    assert verify_claims(instance, F).passed
+    assert verify_uniqueness(instance, F).passed
     assert time.perf_counter() - start < 5.0
-    assert (info.value.side, info.value.outside) == (
-        "M",
-        "{0,1,q0,q1,q2,q3,q4,q5}",
-    )
 
 
 def test_small_fragment_two_atom_partition_is_ambiguous(m31):
@@ -206,10 +218,11 @@ def test_small_fragment_two_atom_partition_is_ambiguous(m31):
         ],
     )
     frag = coarsening_closure(m31, {"half": half})
-    run = execute(induced_instance(identity_map(m31), frag))
-    # generated OML is a 4-element Boolean algebra: one 4-element block
-    assert len(run.lattice_m) == 4
-    assert len(run.reconstruction_candidates) == 2
+    instance = induced_instance(identity_map(m31), frag)
+    run = execute(instance)
+    # the one root's projections are a 4-element block, free to flip
+    assert len(instance.fragment_m.index.projections) == 4
+    assert len(run.jordan_maps) == 2
 
 
 def test_trivial_fragment_passes_vacuously(m3):
@@ -423,3 +436,198 @@ def test_chain_runs_once_per_instance(tmp_path, m3, monkeypatch):
     assert calls["execute"] == 1
     assert calls["check_coarsening_closed"] == 2
     assert calls["_subset_sums"] == roots
+
+
+def _projection_oml_chain(t):
+    """The candidate Jordan maps as execute found them through both
+    projection OMLs: transport f to their BSub posets, extend it over them
+    via ideals, reconstruct the lattice isomorphisms and extend each one
+    spectrally.  The reference that reading f at the roots must match."""
+    index_m, index_n = t.fragment_m.index, t.fragment_n.index
+    lattice_m, by_label_m = projection_oml(t.algebra_m, index_m.projections)
+    lattice_n, by_label_n = projection_oml(t.algebra_n, index_n.projections)
+    bsub_m, bsub_n = boolean_subalgebras(lattice_m), boolean_subalgebras(lattice_n)
+    h_mapping = {
+        subalgebra_label(lattice_m.order.members(index_m.masks[name])): (
+            subalgebra_label(lattice_n.order.members(index_n.masks[t.f.apply(name)]))
+        )
+        for name in t.fragment_m.names()
+    }
+    h = order_iso(
+        bsub_m.restrict(h_mapping), bsub_n.restrict(h_mapping.values()), h_mapping
+    )
+    j = extend_iso_via_ideals(h, bsub_m, bsub_n)
+    maps = []
+    for k in reconstruct_oml_isos(bsub_iso(lattice_m, lattice_n, dict(j.mapping))):
+        pairs = tuple(
+            (by_label_m[x], by_label_n[k.apply(x)]) for x in lattice_m.elements
+        )
+        psi = ProjMapFragment(t.algebra_m, t.algebra_n, pairs)
+        maps.append(spectral_extend(psi, []))
+    return maps
+
+
+def _named_map(algebra, name):
+    u = rotation_unitary(algebra)
+    return {
+        "identity": lambda: identity_map(algebra),
+        "ad-perm": lambda: ad_unitary(algebra, _permutation_unitary(algebra)),
+        "ad-rot": lambda: ad_unitary(algebra, u),
+        "transpose": lambda: transpose_map(algebra),
+        "transpose-ad-rot": lambda: compose_maps(
+            ad_unitary(algebra, u), transpose_map(algebra)
+        ),
+    }[name]()
+
+
+def _half_fragment(algebra):
+    half = partition_of_unity(
+        algebra,
+        [
+            algebra.matrix_unit(0, 0, 0) + algebra.matrix_unit(0, 1, 1),
+            algebra.matrix_unit(0, 2, 2) + algebra.summand_identity(1),
+        ],
+    )
+    return coarsening_closure(algebra, {"half": half})
+
+
+REFERENCE_CASES = [
+    *(
+        ((dims, "diag+rot", name), 1)
+        for dims in ((3,), (3, 1))
+        for name in ("ad-perm", "ad-rot", "transpose", "transpose-ad-rot")
+    ),
+    (((2,), "diag+rot", "identity"), 4),
+    (((2,), "diag+rot", "ad-rot"), 4),
+    (((2, 1), "diag+rot", "ad-rot"), 1),
+    (((2, 1), "diag+rot", "transpose"), 1),
+    (((2, 2), "diag+rot", "ad-rot"), 1),
+    (((2, 2), "diag+rot", "transpose"), 1),
+    (((3, 1), "half", "identity"), 2),
+    (((3,), "trivial", "transpose"), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "case, count",
+    REFERENCE_CASES,
+    ids=["-".join(map(str, case)) for case, _ in REFERENCE_CASES],
+)
+def test_reading_matches_the_projection_oml_chain(case, count):
+    """On every fixture where the chain through the projection OMLs
+    succeeds, reading f at the roots gives the same candidates in the same
+    order: the same generator pairs, so F agrees on every index projection."""
+    dims, frag_name, map_name = case
+    algebra = FinDimAlgebra(dims)
+    frag = {
+        "diag+rot": diag_plus_rotated_fragment,
+        "half": _half_fragment,
+        "trivial": lambda a: fragment(a, {"trivial": trivial_partition(a)}),
+    }[frag_name](algebra)
+    instance = induced_instance(_named_map(algebra, map_name), frag)
+    reference = _projection_oml_chain(instance)
+    candidates = execute(instance).jordan_maps
+    assert len(candidates) == len(reference) == count
+    projections = [
+        AlgElement(p.algebra, p.blocks) for p in instance.fragment_m.index.projections
+    ]
+    for F, G in zip(candidates, reference):
+        assert F.generators == G.generators
+        assert all(F.apply(p) == G.apply(p) for p in projections)
+
+
+PROJECTION_OML_PATH = (
+    "projection_oml",
+    "boolean_subalgebras",
+    "extend_iso_via_ideals",
+    "bsub_iso",
+    "has_4element_block",
+    "certify_unique",
+    "reconstruct_oml_isos",
+)
+
+
+def test_execute_leaves_the_projection_oml_path(m3, monkeypatch):
+    """With every function of the projection-OML path made to raise, a
+    criterion-6 round trip still passes and demo 08's instance still gives
+    its 4 candidates."""
+    from omljordan import matalg, oml, pipeline, poset, reconstruct
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline took the projection-OML path")
+
+    for name in PROJECTION_OML_PATH:
+        for module in (matalg, oml, poset, reconstruct, pipeline):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    g = _named_map(m3, "transpose-ad-rot")
+    instance, frag = _round_trip_instance(m3, g)
+    F = run_pipeline(instance)
+    assert _maps_agree_on_fragment(F, g, frag)
+    assert verify_claims(instance, F).passed
+    assert verify_uniqueness(instance, F).passed
+    assert len(execute(_counterexample_instance()).jordan_maps) == 4
+
+
+@pytest.mark.parametrize("map_name", ["ad-rot", "transpose"])
+def test_fragment_that_is_no_oml_reconstructs(m3, map_name):
+    """Four bases of C^3 whose projections are no OML under the matrix
+    order: their roots are read like any others, so F = g and claims and
+    uniqueness pass.  Time bound: 5 s (about 0.02 s on a 2-core x86-64 VM)."""
+    frag = four_bases_fragment(m3)
+    with pytest.raises((OrthomodularityFails, NotLattice)):
+        projection_oml(m3, frag.index.projections)
+    start = time.perf_counter()
+    g = _named_map(m3, map_name)
+    instance = induced_instance(g, frag)
+    F = run_pipeline(instance)
+    assert _maps_agree_on_fragment(F, g, frag)
+    assert verify_claims(instance, F).passed
+    assert verify_uniqueness(instance, F).passed
+    assert time.perf_counter() - start < 5.0
+
+
+def test_no_solution_when_two_roots_read_a_projection_apart():
+    """Both roots of M hold P; f makes one send it to P, the other to Q."""
+    with pytest.raises(NoSolution, match="^the root 'second' maps a shared projection"):
+        execute(crossed_roots_instance())
+
+
+def test_no_solution_when_no_orientation_is_linear(m3):
+    """M's roots satisfy a linear relation that N's do not, whatever the
+    orientation of each."""
+    with pytest.raises(NoSolution, match="^none of the 8 orientations"):
+        execute(unrelated_pairs_instance(m3))
+
+
+def test_no_solution_when_a_root_changes_its_atom_count(m3, m31):
+    """Hand-built, since theorem_instance accepts only closed fragments:
+    f sends a 2-atom root onto a 3-atom member."""
+    frag_m = _half_fragment(m31)
+    frag_n = fragment(
+        m3, {"trivial": trivial_partition(m3), "diag": diagonal_partition(m3)}
+    )
+    f = order_iso(
+        fragment_poset(frag_m),
+        fragment_poset(frag_n),
+        {"trivial": "trivial", "half": "diag"},
+    )
+    with pytest.raises(NoSolution, match="with another atom count$"):
+        execute(TheoremInstance(m31, m3, frag_m, frag_n, f))
+
+
+def test_no_solution_when_an_atom_has_no_single_image(m3):
+    """Hand-built, with an f that is no order-isomorphism: it swaps the
+    trivial member with the coarsening {e1, e2+e3} of the diagonal root."""
+    e1 = m3.diagonal_atoms()[0]
+    frag = coarsening_closure(m3, {"diag": diagonal_partition(m3)})
+    (name,) = (
+        n for n, p in frag.partitions.items() if len(p) == 2 and e1 in p.atoms
+    )
+    poset = fragment_poset(frag)
+    mapping = {n: n for n in frag.names()}
+    mapping.update({name: "trivial", "trivial": name})
+    f = OrderIso(poset, poset, mapping)
+    message = f"^f\\('{name}'\\) has 0 atoms of f\\('diag'\\)$"
+    with pytest.raises(NoSolution, match=message):
+        execute(TheoremInstance(m3, m3, frag, frag, f))
