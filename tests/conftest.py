@@ -13,6 +13,7 @@ from omljordan.matalg import (
     partition_of_unity,
     trivial_partition,
 )
+from omljordan.pipeline import theorem_instance
 
 
 @pytest.fixture
@@ -145,8 +146,6 @@ def crossed_roots_instance():
     {P, Q}, where Q = e3+e4 and h_i is e_i turned in the plane of
     coordinates 1 and 2.  f pairs equal names, so the root first sends P to
     P and the root second sends it to Q."""
-    from omljordan.pipeline import theorem_instance
-
     m4 = FinDimAlgebra((4,))
     e1, e2, e3, e4 = m4.diagonal_atoms()
     p, q = as_projection(e1 + e2), as_projection(e3 + e4)
@@ -177,8 +176,6 @@ def unrelated_pairs_instance(algebra):
     whose projections satisfy e1 + e2 = f1 + f2, and N's roots {e1, 1-e1},
     {f1, 1-f1} and {k, 1-k}, k = R23 e2 R23*, have projections that satisfy
     no linear relation but x + (1-x) = 1.  So no orientation is linear."""
-    from omljordan.pipeline import theorem_instance
-
     frag_m = three_partition_fragment(algebra)
     e1, e2, _ = algebra.diagonal_atoms()
     r12, r23 = plane_rotation(algebra, 0, 1), plane_rotation(algebra, 1, 2)

@@ -86,6 +86,17 @@ def _counterexample_instance():
     return induced_instance(identity_map(algebra), frag)
 
 
+def _half_fragment(algebra):
+    half = partition_of_unity(
+        algebra,
+        [
+            algebra.matrix_unit(0, 0, 0) + algebra.matrix_unit(0, 1, 1),
+            algebra.matrix_unit(0, 2, 2) + algebra.summand_identity(1),
+        ],
+    )
+    return coarsening_closure(algebra, {"half": half})
+
+
 def test_round_trip_permutation(m3):
     perm = m3.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     g = ad_unitary(m3, perm)
@@ -210,15 +221,7 @@ def test_three_partition_fragment_reconstructs(m3, map_name):
 
 
 def test_small_fragment_two_atom_partition_is_ambiguous(m31):
-    half = partition_of_unity(
-        m31,
-        [
-            m31.matrix_unit(0, 0, 0) + m31.matrix_unit(0, 1, 1),
-            m31.matrix_unit(0, 2, 2) + m31.summand_identity(1),
-        ],
-    )
-    frag = coarsening_closure(m31, {"half": half})
-    instance = induced_instance(identity_map(m31), frag)
+    instance = induced_instance(identity_map(m31), _half_fragment(m31))
     run = execute(instance)
     # the one root's projections are a 4-element block, free to flip
     assert len(instance.fragment_m.index.projections) == 4
@@ -478,17 +481,6 @@ def _named_map(algebra, name):
             ad_unitary(algebra, u), transpose_map(algebra)
         ),
     }[name]()
-
-
-def _half_fragment(algebra):
-    half = partition_of_unity(
-        algebra,
-        [
-            algebra.matrix_unit(0, 0, 0) + algebra.matrix_unit(0, 1, 1),
-            algebra.matrix_unit(0, 2, 2) + algebra.summand_identity(1),
-        ],
-    )
-    return coarsening_closure(algebra, {"half": half})
 
 
 REFERENCE_CASES = [
